@@ -21,7 +21,12 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> counts = {1, 2, 4, 8, 16, 32};
 
   std::vector<std::string> headers = {"msg_size"};
-  for (std::size_t p : counts) headers.push_back("P" + std::to_string(p) + "_ms");
+  for (std::size_t p : counts) {
+    std::string h = "P";
+    h += std::to_string(p);
+    h += "_ms";
+    headers.push_back(std::move(h));
+  }
   bench::Table table(
       "Fig 3: PLogGP modelled completion time (4 ms laggard delay)",
       headers);

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/timeline_buffer.hpp"
 #include "mpi/conn.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -14,8 +15,6 @@ namespace partib::bench {
 namespace {
 
 struct Channel {
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
 };
@@ -26,7 +25,12 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
   sim::Engine engine;
   mpi::WorldOptions wopts = cfg.world;
   wopts.ranks = cfg.alltoall ? cfg.peers : cfg.peers + 1;
+  // Only the timeline matters here; skip payload memcpy.
+  wopts.copy_data = false;
   mpi::World world(engine, wopts);
+
+  // Every channel's send and receive side shares one reservation.
+  const TimelineBuffer payload(cfg.bytes);
 
   std::vector<Channel> channels;
   channels.reserve(cfg.alltoall
@@ -35,12 +39,10 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
                        : static_cast<std::size_t>(cfg.peers));
   auto add_channel = [&](int src, int dst, int tag) {
     Channel c;
-    c.sbuf.resize(cfg.bytes);
-    c.rbuf.resize(cfg.bytes);
-    PARTIB_ASSERT(ok(part::psend_init(world.rank(src), c.sbuf,
+    PARTIB_ASSERT(ok(part::psend_init(world.rank(src), payload.span(),
                                       cfg.user_partitions, dst, tag,
                                       /*comm=*/0, cfg.options, &c.send)));
-    PARTIB_ASSERT(ok(part::precv_init(world.rank(dst), c.rbuf,
+    PARTIB_ASSERT(ok(part::precv_init(world.rank(dst), payload.span(),
                                       cfg.user_partitions, src, tag,
                                       /*comm=*/0, cfg.options, &c.recv)));
     channels.push_back(std::move(c));

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/timeline_buffer.hpp"
 #include "common/assert.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -112,7 +113,8 @@ HaloResult run_halo(HaloConfig cfg) {
   mpi::World world(engine, cfg.world);
   HaloRun run(cfg, engine, world);
 
-  std::vector<std::byte> shared_buffer(cfg.face_bytes);
+  // Every face of every rank shares one reservation, as in the sweep.
+  const TimelineBuffer payload(cfg.face_bytes);
   // Four directions, tagged by the sender's direction index; dx/dy pairs
   // and the tag the matching receiver listens on (opposite direction).
   const int dirs[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
@@ -129,11 +131,11 @@ HaloResult run_halo(HaloConfig cfg) {
         if (nx < 0 || nx >= cfg.px || ny < 0 || ny >= cfg.py) continue;
         std::unique_ptr<part::PsendRequest> send;
         std::unique_ptr<part::PrecvRequest> recv;
-        PARTIB_ASSERT(ok(part::psend_init(mr, shared_buffer, cfg.threads,
+        PARTIB_ASSERT(ok(part::psend_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(nx, ny), d, 0,
                                           cfg.options, &send)));
         // The neighbour sends toward us with the opposite direction index.
-        PARTIB_ASSERT(ok(part::precv_init(mr, shared_buffer, cfg.threads,
+        PARTIB_ASSERT(ok(part::precv_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(nx, ny), d ^ 1, 0,
                                           cfg.options, &recv)));
         hr.sends.push_back(std::move(send));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
+#include "bench/timeline_buffer.hpp"
 #include "common/assert.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -20,13 +20,15 @@ PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg) {
   mpi::World world(engine, cfg.world);
   sim::Rng rng(cfg.seed);
 
-  std::vector<std::byte> sbuf(cfg.total_bytes), rbuf(cfg.total_bytes);
+  const TimelineBuffer payload(cfg.total_bytes);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbuf, cfg.user_partitions,
-                                    1, 0, 0, cfg.options, &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbuf, cfg.user_partitions,
-                                    0, 0, 0, cfg.options, &recv)));
+  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), payload.span(),
+                                    cfg.user_partitions, 1, 0, 0, cfg.options,
+                                    &send)));
+  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), payload.span(),
+                                    cfg.user_partitions, 0, 0, 0, cfg.options,
+                                    &recv)));
   engine.run();
 
   PerceivedResult res;

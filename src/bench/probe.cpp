@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bench/timeline_buffer.hpp"
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "common/units.hpp"
@@ -19,6 +20,9 @@ struct ProbePair {
   sim::Engine engine;
   fabric::Fabric fab;
   verbs::Device dev;
+  /// Both endpoints register over one reservation: the fabric is built
+  /// with copy_data=false, so only the timeline matters.
+  TimelineBuffer payload;
   verbs::Context* sctx;
   verbs::Context* rctx;
   verbs::Pd* spd;
@@ -27,13 +31,12 @@ struct ProbePair {
   verbs::Cq* rcq;
   verbs::Qp* sqp;
   verbs::Qp* rqp;
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
   verbs::Mr* smr;
   verbs::Mr* rmr;
 
   explicit ProbePair(const fabric::NicParams& params, std::size_t buf_bytes)
-      : fab(engine, params, /*copy_data=*/false), dev(fab) {
+      : fab(engine, params, /*copy_data=*/false), dev(fab),
+        payload(buf_bytes) {
     const auto n0 = fab.add_node();
     const auto n1 = fab.add_node();
     sctx = &dev.open(n0);
@@ -42,10 +45,9 @@ struct ProbePair {
     rpd = &rctx->alloc_pd();
     scq = &sctx->create_cq(1 << 16);
     rcq = &rctx->create_cq(1 << 16);
-    sbuf.resize(buf_bytes);
-    rbuf.resize(buf_bytes);
-    smr = &spd->register_mr(sbuf, verbs::kLocalRead);
-    rmr = &rpd->register_mr(rbuf, verbs::kLocalWrite | verbs::kRemoteWrite);
+    smr = &spd->register_mr(payload.span(), verbs::kLocalRead);
+    rmr = &rpd->register_mr(payload.span(),
+                            verbs::kLocalWrite | verbs::kRemoteWrite);
     verbs::QpCaps caps;
     caps.max_send_wr = params.max_outstanding_wr_per_qp;
     caps.max_recv_wr = 4096;
@@ -65,7 +67,7 @@ struct ProbePair {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
     wr.sg_list.push_back(verbs::Sge{
-        wire_addr(sbuf.data()),
+        wire_addr(payload.span().data()),
         static_cast<std::uint32_t>(bytes), smr->lkey()});
     wr.remote_addr = rmr->addr();
     wr.rkey = rmr->rkey();
@@ -92,7 +94,7 @@ struct ProbePair {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
     wr.sg_list.push_back(verbs::Sge{
-        wire_addr(sbuf.data()),
+        wire_addr(payload.span().data()),
         static_cast<std::uint32_t>(bytes), smr->lkey()});
     wr.remote_addr = rmr->addr();
     wr.rkey = rmr->rkey();

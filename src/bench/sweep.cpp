@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/timeline_buffer.hpp"
 #include "common/assert.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -135,10 +136,9 @@ SweepResult run_sweep(SweepConfig cfg) {
   mpi::World world(engine, cfg.world);
 
   SweepRun run(cfg, engine, world);
-  // Payload copies are disabled, so every channel can share one backing
-  // allocation (MRs may overlap; only the timeline matters here).
-  std::vector<std::byte> shared_buffer(cfg.message_bytes);
-  auto make_buffer = [&]() -> std::span<std::byte> { return shared_buffer; };
+  // Payload copies are disabled, so every channel shares one reservation
+  // (MRs may overlap; only the timeline matters here).
+  const TimelineBuffer payload(cfg.message_bytes);
 
   for (int y = 0; y < cfg.py; ++y) {
     for (int x = 0; x < cfg.px; ++x) {
@@ -149,25 +149,25 @@ SweepResult run_sweep(SweepConfig cfg) {
           cfg.seed ^ (static_cast<std::uint64_t>(run.rank_id(x, y)) * 0x9E37u));
       mpi::Rank& mr = world.rank(run.rank_id(x, y));
       if (x + 1 < cfg.px) {
-        PARTIB_ASSERT(ok(part::psend_init(mr, make_buffer(), cfg.threads,
+        PARTIB_ASSERT(ok(part::psend_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(x + 1, y), kTagEast, 0,
                                           cfg.options, &r.send_e)));
         ++r.sends_needed;
       }
       if (y + 1 < cfg.py) {
-        PARTIB_ASSERT(ok(part::psend_init(mr, make_buffer(), cfg.threads,
+        PARTIB_ASSERT(ok(part::psend_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(x, y + 1), kTagSouth, 0,
                                           cfg.options, &r.send_s)));
         ++r.sends_needed;
       }
       if (x > 0) {
-        PARTIB_ASSERT(ok(part::precv_init(mr, make_buffer(), cfg.threads,
+        PARTIB_ASSERT(ok(part::precv_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(x - 1, y), kTagEast, 0,
                                           cfg.options, &r.recv_w)));
         ++r.recvs_needed;
       }
       if (y > 0) {
-        PARTIB_ASSERT(ok(part::precv_init(mr, make_buffer(), cfg.threads,
+        PARTIB_ASSERT(ok(part::precv_init(mr, payload.span(), cfg.threads,
                                           run.rank_id(x, y - 1), kTagSouth, 0,
                                           cfg.options, &r.recv_n)));
         ++r.recvs_needed;

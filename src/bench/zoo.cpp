@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 
+#include "bench/timeline_buffer.hpp"
 #include "common/assert.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -137,12 +138,12 @@ ZooResult run_zoo(ZooConfig cfg) {
   mpi::World world(engine, cfg.world);
 
   const std::size_t n = cfg.user_partitions;
-  std::vector<std::byte> sbuf(cfg.total_bytes), rbuf(cfg.total_bytes);
+  const TimelineBuffer payload(cfg.total_bytes);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbuf, n, 1, 0, 0,
+  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), payload.span(), n, 1, 0, 0,
                                     cfg.options, &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbuf, n, 0, 0, 0,
+  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), payload.span(), n, 0, 0, 0,
                                     cfg.options, &recv)));
   engine.run();
   PARTIB_ASSERT_MSG(!cfg.oracle || send->plan().learning,

@@ -1,16 +1,20 @@
-// The benchmark harness itself: sane results from the overhead,
-// perceived-bandwidth and sweep generators, plus the parameter probe's
-// recovery of the configured fabric parameters.
+// The benchmark harness itself: sane results from every trial form
+// (overhead, perceived bandwidth, sweep, halo, workload zoo, connection
+// scale), each running over a never-committed payload reservation, plus
+// the parameter probe's recovery of the configured fabric parameters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
+#include "bench/connscale.hpp"
+#include "bench/halo.hpp"
 #include "bench/overhead.hpp"
 #include "bench/perceived.hpp"
 #include "bench/probe.hpp"
 #include "bench/report.hpp"
 #include "bench/sweep.hpp"
+#include "bench/zoo.hpp"
 #include "common/units.hpp"
 #include "support/test_world.hpp"
 
@@ -194,6 +198,94 @@ TEST(Sweep, DeterministicForSameSeed) {
   cfg.iterations = 2;
   cfg.warmup = 1;
   EXPECT_EQ(run_sweep(cfg).total_time, run_sweep(cfg).total_time);
+}
+
+TEST(Halo, SmallGridCompletesDeterministically) {
+  HaloConfig cfg;
+  cfg.px = 3;
+  cfg.py = 2;
+  cfg.threads = 4;
+  cfg.face_bytes = 64 * KiB;
+  cfg.options = ploggp();
+  cfg.compute = usec(100);
+  cfg.iterations = 3;
+  cfg.warmup = 1;
+  const auto a = run_halo(cfg);
+  EXPECT_GT(a.comm_time, 0);
+  EXPECT_EQ(a.compute_on_path, 3 * usec(100));
+  EXPECT_EQ(a.total_time, a.comm_time + a.compute_on_path);
+  EXPECT_EQ(a.total_time, run_halo(cfg).total_time);
+}
+
+TEST(Zoo, LearningTrialIsDeterministic) {
+  ZooConfig cfg;
+  cfg.shape = ZooShape::kRandomPerm;
+  cfg.total_bytes = 4 * MiB;
+  cfg.user_partitions = 16;
+  cfg.options = test::learning_options();
+  cfg.epochs = 6;
+  cfg.warmup = 2;
+  cfg.seed = 7;
+  const auto a = run_zoo(cfg);
+  const auto b = run_zoo(cfg);
+  EXPECT_GT(a.warm_gbytes_per_s, 0.0);
+  EXPECT_GT(a.final_tp, 0);
+  EXPECT_GT(a.mean_wrs_per_epoch, 0.0);
+  EXPECT_EQ(a.warm_gbytes_per_s, b.warm_gbytes_per_s);
+  EXPECT_EQ(a.all_gbytes_per_s, b.all_gbytes_per_s);
+  EXPECT_EQ(a.final_tp, b.final_tp);
+  EXPECT_EQ(a.replans_adopted, b.replans_adopted);
+}
+
+TEST(Zoo, PersistentPostsOnePerPartitionPerEpoch) {
+  ZooConfig cfg;
+  cfg.shape = ZooShape::kUniform;
+  cfg.total_bytes = 1 * MiB;
+  cfg.user_partitions = 8;
+  cfg.options = persistent();
+  cfg.epochs = 4;
+  cfg.warmup = 1;
+  const auto r = run_zoo(cfg);
+  EXPECT_EQ(r.final_tp, 8);
+  EXPECT_EQ(r.mean_wrs_per_epoch, 8.0);
+  EXPECT_EQ(r.replans_adopted, 0);
+}
+
+TEST(ConnScale, SharedIncastShrinksTheHotFootprint) {
+  ConnScaleConfig cfg;
+  cfg.peers = 8;
+  cfg.bytes = 16 * KiB;
+  cfg.user_partitions = 8;
+  cfg.options = test::static_options(/*tp=*/4, /*qps=*/1);
+  const auto ded = run_connscale(cfg);
+  cfg.options.shared_resources = true;
+  const auto shr = run_connscale(cfg);
+  EXPECT_GT(ded.mean_round, 0);
+  EXPECT_GT(shr.mean_round, 0);
+  EXPECT_EQ(ded.hot_qps, 8);
+  EXPECT_EQ(shr.hot_srqs, 1);
+  EXPECT_LT(shr.hot_provisioned_bytes, ded.hot_provisioned_bytes);
+  EXPECT_EQ(ded.establishments, 0u);
+  EXPECT_EQ(shr.establishments, 8u);
+}
+
+TEST(ConnScale, AlltoallIgnoresCopyDataRequest) {
+  // The trial form only times the exchange; a copy_data request must not
+  // reach the fabric (it would fault on the shared payload reservation)
+  // nor change the result.
+  ConnScaleConfig cfg;
+  cfg.peers = 4;
+  cfg.alltoall = true;
+  cfg.bytes = 4 * KiB;
+  cfg.user_partitions = 4;
+  cfg.options = ploggp();
+  cfg.world.copy_data = false;
+  const auto quiet = run_connscale(cfg);
+  cfg.world.copy_data = true;
+  const auto asked = run_connscale(cfg);
+  EXPECT_GT(quiet.mean_round, 0);
+  EXPECT_EQ(quiet.mean_round, asked.mean_round);
+  EXPECT_EQ(quiet.hot_qps, asked.hot_qps);
 }
 
 TEST(Probe, RecoversEffectivePerByteCost) {

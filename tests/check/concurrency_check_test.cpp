@@ -32,6 +32,7 @@ class ConcurrencyCheckTest : public ::testing::Test {
 // -- lock-order auditor ------------------------------------------------------
 
 TEST_F(ConcurrencyCheckTest, InjectedInversionIsReportedExactlyOnce) {
+  if (!hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   ScopedLockAudit audit;
   common::Mutex a("test.A");
   common::Mutex b("test.B");
@@ -74,6 +75,7 @@ TEST_F(ConcurrencyCheckTest, ConsistentOrderAcrossThreadsIsSilent) {
 }
 
 TEST_F(ConcurrencyCheckTest, InversionIsDetectedAcrossInstancesOfAClass) {
+  if (!hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   // The graph is over lock *classes* (Mutex names): an inversion between
   // two different instances of the same named class is still an inversion
   // — the runs never touch the same object, only the same classes.
@@ -94,6 +96,7 @@ TEST_F(ConcurrencyCheckTest, InversionIsDetectedAcrossInstancesOfAClass) {
 }
 
 TEST_F(ConcurrencyCheckTest, SameClassNestingReports) {
+  if (!hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   // Nesting two locks of one class deadlocks unless every thread orders
   // instances identically, which nothing enforces — so it reports.
   ScopedLockAudit audit;
@@ -107,6 +110,7 @@ TEST_F(ConcurrencyCheckTest, SameClassNestingReports) {
 }
 
 TEST_F(ConcurrencyCheckTest, HeldLockCountTracksNesting) {
+  if (!hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   ScopedLockAudit audit;
   common::Mutex a("test.A");
   common::Mutex b("test.B");
@@ -158,6 +162,7 @@ TEST_F(ConcurrencyCheckTest, OwnerRetouchIsSilent) {
 }
 
 TEST_F(ConcurrencyCheckTest, ForeignTouchUnderAuditedLockIsSilent) {
+  if (!hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   // Holding any partib Mutex at the access counts as synchronized — the
   // sharded-progress design takes a shard lock before crossing domains.
   ScopedOwnerAudit audit;

@@ -98,8 +98,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 5, 15, 40),   // g in us
                        ::testing::Values(4, 8, 33, 80)),  // G in ns/B * 100
     [](const ::testing::TestParamInfo<ParamCase>& info) {
-      return "g" + std::to_string(std::get<0>(info.param)) + "us_G" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "g";
+      name += std::to_string(std::get<0>(info.param));
+      name += "us_G";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 }  // namespace

@@ -122,6 +122,7 @@ TEST(ConnManagerRecycle, LruVictimIsEvictedThroughReset) {
 }
 
 TEST(ConnManagerRecycle, OverCapWithAllLeasedRaisesConnCapDiagnostic) {
+  if (!check::hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   Fx fx(/*ranks=*/3, /*cap=*/1);
   check::ScopedPolicy quiet(check::Policy::kCount);
   ConnectionManager& mgr = fx.world->rank(0).connections();
@@ -165,6 +166,7 @@ TEST(ConnManagerSrq, ReservationGrowsAndRefillsTheSrq) {
 }
 
 TEST(ConnManagerDemux, UnboundQpNumRaisesConnDemuxDiagnostic) {
+  if (!check::hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
   Fx fx;
   check::ScopedPolicy quiet(check::Policy::kCount);
   ConnectionManager& mgr = fx.world->rank(0).connections();

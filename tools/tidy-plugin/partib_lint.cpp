@@ -196,8 +196,9 @@ LexedFile lex(const std::string& src) {
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t p = i + 2;
       while (p < n && src[p] != '(') ++p;
-      const std::string delim =
-          ")" + src.substr(i + 2, p - (i + 2)) + "\"";
+      std::string delim = ")";
+      delim += std::string_view(src).substr(i + 2, p - (i + 2));
+      delim += '"';
       std::size_t end = src.find(delim, p);
       end = end == std::string::npos ? n : end + delim.size();
       out.tokens.push_back({Tok::kString,
@@ -291,9 +292,12 @@ class Linter {
 
  private:
   bool path_has_dir(std::string_view dir) const {
-    const std::string needle = "/" + std::string(dir) + "/";
+    std::string prefix(dir);
+    prefix += '/';
+    std::string needle = "/";
+    needle += prefix;
     return path_.find(needle) != std::string::npos ||
-           path_.rfind(std::string(dir) + "/", 0) == 0;
+           path_.rfind(prefix, 0) == 0;
   }
 
   bool in_sim_layer() const {
