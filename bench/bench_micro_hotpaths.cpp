@@ -122,7 +122,7 @@ void BM_FluidNetworkFanIn(benchmark::State& state) {
     benchmark::DoNotOptimize(done);
   }
 }
-BENCHMARK(BM_FluidNetworkFanIn)->Arg(8)->Arg(64);
+BENCHMARK(BM_FluidNetworkFanIn)->Arg(8)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_RunnerSweep(benchmark::State& state) {
   // Dispatch overhead of the parallel experiment runner: 256 trials whose

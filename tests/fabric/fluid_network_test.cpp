@@ -2,6 +2,7 @@
 // properties.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "fabric/fluid_network.hpp"
@@ -145,6 +146,71 @@ TEST_F(Net, AsymmetricBytesFinishInSizeOrder) {
   net.submit(0, 2, 10'000.0, 100.0, [&](Time) { order.push_back(1); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+int count_lines_with(const std::string& text, const std::string& needle) {
+  int n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// A 5e-324 (smallest denormal) ingress link shared by two flows gives
+// each a round-one share of 5e-324 / 2, which rounds to 0: both flows are
+// parked at rate zero, with one fluid.zero_rate diagnostic per flow per
+// completion scan.  Here both flows cross the saturated sink, so the
+// uniform-rate path reports them: two lines, at the second submission.
+TEST_F(Net, ZeroRateUniformFlowsReportOncePerScan) {
+  net.set_node_capacity(0, kCap, 5e-324);
+  int done = 0;
+  testing::internal::CaptureStderr();
+  net.submit(1, 0, 1000.0, 8.0, [&](Time) { ++done; });
+  engine.schedule_at(5, [&] {
+    net.submit(2, 0, 1000.0, 8.0, [&](Time) { ++done; });
+  });
+  engine.run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_lines_with(err, "rule=fluid.zero_rate"), 2);
+  EXPECT_EQ(count_lines_with(err, "time=5ns"), 2);
+  EXPECT_EQ(done, 0);
+  EXPECT_EQ(net.active_flows(), 2u);
+}
+
+// Same parked pair plus a healthy flow sharing one sender: the fill takes
+// the multi-round path (the healthy flow re-fills after the pair freezes
+// at zero).  The pair is reported at the healthy flow's submission and at
+// its completion scan (t = 13: 100 bytes at 8 B/ns): 2 + 2 + 2 lines.
+TEST_F(Net, ZeroRateMixedFlowsReportOncePerScan) {
+  net.set_node_capacity(0, kCap, 5e-324);
+  int done = 0;
+  testing::internal::CaptureStderr();
+  net.submit(1, 0, 1000.0, 8.0, [&](Time) { ++done; });
+  net.submit(2, 0, 1000.0, 8.0, [&](Time) { ++done; });
+  net.submit(1, 3, 100.0, 8.0, [&](Time) { ++done; });
+  engine.run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_lines_with(err, "rule=fluid.zero_rate"), 6);
+  EXPECT_EQ(count_lines_with(err, "time=13ns"), 2);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(net.active_flows(), 2u);
+}
+
+// The node classes file each active node under its capacity, so a
+// capacity change under live traffic is a bug, not a silent no-op.
+TEST_F(Net, CapacityChangeUnderActiveFlowsDies) {
+  net.submit(0, 1, 1000.0, 100.0, [](Time) {});
+  EXPECT_DEATH(net.set_node_capacity(1, kCap, 5.0),
+               "set_node_capacity on a node with active flows");
+  EXPECT_DEATH(net.set_node_capacity(0, 5.0, kCap),
+               "set_node_capacity on a node with active flows");
+  net.submit(2, 3, 1000.0, 100.0, [](Time) {});  // two flows: classed
+  EXPECT_DEATH(net.set_node_capacity(3, kCap, 5.0),
+               "set_node_capacity on a node with active flows");
+  net.set_node_capacity(4, 5.0, 5.0);  // an idle node may still change
+  engine.run();
+  net.set_node_capacity(1, kCap, 5.0);  // and so may a drained one
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // naming and header-only inlining) kept as a differential oracle:
 // tests/fabric/fluid_conservation_test.cpp submits identical randomized
 // workloads to both implementations and requires byte-identical completion
-// times.  Do not optimise this file — its job is to stay the obviously
+// times and flow views (the read-only for_each_flow is the one addition).
+// Do not optimise this file — its job is to stay the obviously
 // correct specification of the fluid model.
 #pragma once
 
@@ -76,6 +77,24 @@ class ReferenceFluidNetwork {
 
   std::size_t active_flows() const { return flows_.size(); }
   std::uint64_t completed_flows() const { return completed_; }
+
+  /// Read-only view of one in-flight flow, for the differential's
+  /// per-rate-change comparison (same fields as FluidNetwork::FlowView).
+  struct FlowView {
+    NodeId src;
+    NodeId dst;
+    double remaining;
+    double cap;
+    double rate;
+  };
+
+  /// Visit every active flow in submission (id) order.
+  template <typename Fn>
+  void for_each_flow(Fn&& fn) const {
+    for (const auto& [id, f] : flows_) {
+      fn(FlowView{f.src, f.dst, f.remaining, f.cap, f.rate});
+    }
+  }
 
  private:
   // Half a byte: below this a flow is considered finished.
