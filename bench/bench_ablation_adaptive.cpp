@@ -1,14 +1,14 @@
-// Ablation: adaptive and learning aggregation under shifting imbalance
-// (the auto-tuning the paper's §IV-D defers to future work).
+// Ablation: arrival-learning aggregation under shifting imbalance (the
+// auto-tuning the paper's §IV-D defers to future work).
 //
 // Every strategy runs the same regime-shifting zoo trace — nearly
 // balanced, then heavily imbalanced with a bursty tail, then moderately
 // imbalanced, by epoch thirds — through the shared zoo harness.  The
 // per-phase perceived-bandwidth columns show how each design copes with
 // the regime changes: the init-time plans (tuning table, PLogGP, timer-δ)
-// are stuck with one plan, scalar-adaptive re-picks only the partition
-// count, arrival-learning re-plans count, group boundaries and δ from the
-// per-partition EWMA profile, and the oracle re-plans from ground truth.
+// are stuck with one plan, arrival-learning re-plans count, group
+// boundaries and δ from the per-partition EWMA profile, and the oracle
+// re-plans from ground truth.
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       {"tuning-table", bench::tuning_table_options(), false},
       {"ploggp", bench::ploggp_options(params), false},
       {"timer", bench::timer_options(delta0, params), false},
-      {"adaptive-ploggp", bench::adaptive_options(params, delta0), false},
       {"learning", bench::learning_options(params, delta0), false},
       {"oracle", bench::oracle_options(params, delta0), true},
   };

@@ -191,13 +191,6 @@ inline part::Options tuning_table_options() {
       agg::TuningTable::niagara_prebuilt()));
 }
 
-inline part::Options adaptive_options(
-    const model::LogGPParams& params, Duration initial = msec(4),
-    double alpha = 0.5) {
-  return options_with(std::make_shared<agg::AdaptivePLogGPAggregator>(
-      params, initial, alpha));
-}
-
 inline part::Options learning_options(
     const model::LogGPParams& params, Duration delta0 = msec(4),
     model::ArrivalLearnConfig cfg = {}) {

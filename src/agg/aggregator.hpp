@@ -42,30 +42,21 @@ struct Plan {
   Duration timer_delta = 0;
   Path path = Path::kVerbs;
 
-  /// Online adaptation (the auto-tuning the paper's §IV-D defers to
-  /// future work): the send request measures each round's Pready spread,
-  /// keeps an exponentially weighted average, and re-runs the drain-aware
-  /// PLogGP optimizer with the *measured* delay at every Start.  Only the
-  /// transport-partition count adapts; QPs are fixed at init.
-  bool adaptive = false;
-  model::LogGPParams model_params{};
-  model::OptimizerConfig optimizer{};
-  double ewma_alpha = 0.25;
-
-  /// Arrival-learning mode (docs/ADAPTIVE.md): the send request records
+  /// Arrival-learning mode (docs/ADAPTIVE.md), the online auto-tuning the
+  /// paper's §IV-D defers to future work: the send request records
   /// per-partition Pready offsets into an ArrivalProfile, folds them into
   /// per-partition EWMAs, and at every Start re-plans transport-partition
   /// count, group *boundaries* (non-uniform but contiguous), and the timer
-  /// delta from the learned arrival vector — adopting a candidate only on
-  /// a predicted >= learn.hysteresis_epsilon win over the incumbent.
-  /// Mutually exclusive with `adaptive` (the scalar-EWMA predecessor).
+  /// delta from the learned arrival vector with `model_params` — adopting
+  /// a candidate only on a predicted >= learn.hysteresis_epsilon win over
+  /// the incumbent.  QPs are fixed at init.
   bool learning = false;
   model::ArrivalLearnConfig learn{};
+  model::LogGPParams model_params{};
 
   /// Explicit contiguous group layout (group g covers
   /// [group_first[g], group_first[g] + group_count[g])).  Empty means the
-  /// uniform transport_partitions layout.  The oracle ablation arm plans
-  /// directly from the true arrival vector through this.
+  /// uniform transport_partitions layout.
   std::vector<std::size_t> group_first;
   std::vector<std::size_t> group_count;
 };

@@ -141,40 +141,6 @@ std::string PLogGPAggregator::describe() const {
          optimizer_str(cfg_) + buf;
 }
 
-// -- AdaptivePLogGPAggregator ------------------------------------------------
-
-AdaptivePLogGPAggregator::AdaptivePLogGPAggregator(model::LogGPParams params,
-                                                   Duration initial_delay,
-                                                   double ewma_alpha)
-    : params_(params), initial_delay_(initial_delay), alpha_(ewma_alpha) {
-  PARTIB_ASSERT(initial_delay >= 0);
-  PARTIB_ASSERT(ewma_alpha > 0.0 && ewma_alpha <= 1.0);
-}
-
-Plan AdaptivePLogGPAggregator::plan(std::size_t user_partitions,
-                                    std::size_t total_bytes) const {
-  Plan p;
-  model::OptimizerConfig cfg;
-  cfg.delay = initial_delay_;
-  p.transport_partitions = clamp_transport_partitions(
-      model::optimal_transport_partitions_with_drain(params_, total_bytes,
-                                                     user_partitions, cfg),
-      user_partitions);
-  p.qp_count = 1;  // see class comment
-  p.adaptive = true;
-  p.model_params = params_;
-  p.optimizer = cfg;
-  p.ewma_alpha = alpha_;
-  return p;
-}
-
-std::string AdaptivePLogGPAggregator::describe() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), " delay0=%" PRId64 " alpha=%.17g",
-                static_cast<std::int64_t>(initial_delay_), alpha_);
-  return std::string("adaptive-ploggp ") + loggp_str(params_) + buf;
-}
-
 // -- ArrivalLearningAggregator -----------------------------------------------
 
 namespace {
@@ -228,8 +194,6 @@ Plan ArrivalLearningAggregator::plan(std::size_t user_partitions,
   p.learning = true;
   p.learn = cfg_;
   p.model_params = params_;
-  p.optimizer = ocfg;
-  p.ewma_alpha = cfg_.ewma_alpha;
   return p;
 }
 
@@ -238,56 +202,6 @@ std::string ArrivalLearningAggregator::describe() const {
   std::snprintf(buf, sizeof(buf), " delay0=%" PRId64,
                 static_cast<std::int64_t>(initial_delay_));
   return std::string("arrival-learning/v1 ") + loggp_str(params_) + buf +
-         " " + learn_str(cfg_);
-}
-
-// -- OracleArrivalAggregator -------------------------------------------------
-
-OracleArrivalAggregator::OracleArrivalAggregator(
-    model::LogGPParams params, std::vector<Duration> arrival,
-    model::ArrivalLearnConfig cfg)
-    : params_(params), arrival_(std::move(arrival)), cfg_(cfg) {
-  PARTIB_ASSERT(!arrival_.empty());
-}
-
-Plan OracleArrivalAggregator::plan(std::size_t user_partitions,
-                                   std::size_t total_bytes) const {
-  PARTIB_ASSERT_MSG(user_partitions == arrival_.size(),
-                    "oracle arrival vector does not match partition count");
-  Plan p;
-  const std::size_t cap = std::min(cfg_.max_groups, user_partitions);
-  p.group_first.resize(cap);
-  p.group_count.resize(cap);
-  model::ArrivalPlanScratch scratch;
-  scratch.reserve(user_partitions);
-  const model::ArrivalPlanResult r = model::plan_from_arrivals(
-      params_, total_bytes, arrival_.data(), user_partitions, cfg_,
-      p.group_first.data(), p.group_count.data(), scratch);
-  p.group_first.resize(r.groups);
-  p.group_count.resize(r.groups);
-  p.transport_partitions = r.groups;
-  p.qp_count = 1;
-  p.timer_based = true;
-  p.timer_delta = r.delta;
-  p.model_params = params_;
-  return p;
-}
-
-std::string OracleArrivalAggregator::describe() const {
-  // The whole arrival vector is part of the identity; hash it rather than
-  // embedding thousands of offsets.
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (const Duration a : arrival_) {
-    auto v = static_cast<std::uint64_t>(a);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " n=%zu arrivals=%016" PRIx64,
-                arrival_.size(), h);
-  return std::string("oracle-arrival/v1 ") + loggp_str(params_) + buf +
          " " + learn_str(cfg_);
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "agg/aggregator.hpp"
 #include "agg/tuning_table.hpp"
@@ -69,29 +68,6 @@ class PLogGPAggregator : public Aggregator {
   int max_wr_per_qp_;
 };
 
-/// Online-adaptive PLogGP aggregation — the auto-tuning approach the
-/// paper explicitly defers ("An online auto-tuning approach could be used
-/// to tune the PLogGP model input delay parameter", §IV-D).  Starts from
-/// the drain-aware PLogGP plan for an initial delay guess; the runtime
-/// then re-optimizes the transport-partition count each round against the
-/// measured arrival spread.  Restricted to a single QP so the receiver's
-/// worst-case receive-WR budget is independent of the evolving plan.
-class AdaptivePLogGPAggregator final : public Aggregator {
- public:
-  AdaptivePLogGPAggregator(model::LogGPParams params,
-                           Duration initial_delay_guess = msec(4),
-                           double ewma_alpha = 0.25);
-  Plan plan(std::size_t user_partitions,
-            std::size_t total_bytes) const override;
-  const char* name() const override { return "adaptive-ploggp"; }
-  std::string describe() const override;
-
- private:
-  model::LogGPParams params_;
-  Duration initial_delay_;
-  double alpha_;
-};
-
 /// Online arrival-learning aggregation (docs/ADAPTIVE.md) — the full
 /// version of the auto-tuning the paper's §IV-D defers to future work.
 /// Starts from the drain-aware PLogGP plan for an initial delay guess
@@ -99,9 +75,8 @@ class AdaptivePLogGPAggregator final : public Aggregator {
 /// per-partition arrival pattern (part/arrival_profile.hpp) and at every
 /// Start re-plans transport-partition count, non-uniform contiguous group
 /// boundaries, and the timer delta from the learned vector, with
-/// hysteresis.  Single QP, like AdaptivePLogGPAggregator, so the
-/// receiver's worst-case receive-WR budget never depends on the evolving
-/// plan.
+/// hysteresis.  Single QP, so the receiver's worst-case receive-WR budget
+/// never depends on the evolving plan.
 class ArrivalLearningAggregator final : public Aggregator {
  public:
   explicit ArrivalLearningAggregator(model::LogGPParams params,
@@ -117,29 +92,6 @@ class ArrivalLearningAggregator final : public Aggregator {
  private:
   model::LogGPParams params_;
   Duration initial_delay_;
-  model::ArrivalLearnConfig cfg_;
-};
-
-/// Ablation upper bound: handed the true per-partition arrival vector at
-/// init, plans the non-uniform layout and delta directly from it (no
-/// learning, no warm-up).  For regime-shifting workloads the zoo instead
-/// re-seeds a learning channel with the truth each epoch
-/// (PsendRequest::seed_profile), which subsumes this for the stationary
-/// shapes too — this class exists so the oracle is also reachable as a
-/// plain init-time Aggregator.
-class OracleArrivalAggregator final : public Aggregator {
- public:
-  OracleArrivalAggregator(model::LogGPParams params,
-                          std::vector<Duration> arrival,
-                          model::ArrivalLearnConfig cfg = {});
-  Plan plan(std::size_t user_partitions,
-            std::size_t total_bytes) const override;
-  const char* name() const override { return "oracle-arrival"; }
-  std::string describe() const override;
-
- private:
-  model::LogGPParams params_;
-  std::vector<Duration> arrival_;
   model::ArrivalLearnConfig cfg_;
 };
 

@@ -10,10 +10,6 @@
 #include "common/env.hpp"
 #include "common/log.hpp"
 
-#if defined(PARTIB_WITH_IBVERBS)
-#include "backend/ibv/ibv_backend.hpp"
-#endif
-
 namespace partib::backend {
 namespace {
 
@@ -33,11 +29,6 @@ std::vector<Entry>& registry() {
     e->push_back({"shm", [](const Config& cfg) -> std::unique_ptr<Backend> {
                     return std::make_unique<ShmBackend>(cfg);
                   }});
-#if defined(PARTIB_WITH_IBVERBS)
-    e->push_back({"ibv", [](const Config& cfg) -> std::unique_ptr<Backend> {
-                    return make_ibv_backend(cfg);
-                  }});
-#endif
     return e;
   }();
   return *entries;

@@ -13,7 +13,6 @@
 //          monotonic clock (engine.run_until(now())) and then polls the
 //          shared-memory rings.  Nothing is simulated; elapsed
 //          nanoseconds are real nanoseconds.
-//   ibv  — hardware verbs stub (compile-gated; backend/ibv/).
 //
 // The part/agg/mpi layers construct their world through a Backend and
 // call only engine() (timers) and transport() (ops) — which is what lets
@@ -58,7 +57,7 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  /// Registry name ("des", "shm", "ibv").
+  /// Registry name ("des", "shm").
   virtual std::string_view name() const = 0;
 
   /// The op surface the verbs layer posts through.
@@ -102,8 +101,7 @@ void register_backend(std::string_view name, Factory factory);
 std::unique_ptr<Backend> make_backend(std::string_view name,
                                       const Config& config = {});
 
-/// Names in registration order ("des" first).  Compile-gated backends
-/// (ibv) appear only when their support is built in.
+/// Names in registration order ("des" first).
 std::vector<std::string> backend_names();
 
 /// True when `name` is registered.

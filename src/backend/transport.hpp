@@ -22,8 +22,9 @@
 //   * backend::ShmTransport — real-time shared-memory transport: per-peer
 //                            lock-free rings, real threads, monotonic
 //                            clock (backend/shm/).
-//   * backend::IbvTransport — compile-time stub for real libibverbs
-//                            (backend/ibv/, -DPARTIB_WITH_IBVERBS=ON).
+//
+// DESIGN.md maps each call onto libibverbs, the porting guide for a
+// hardware transport.
 //
 // Threading contract: post_rdma_write and the QP-chain hooks are called
 // from the thread that owns the posting QP; the callbacks of an op are
@@ -51,7 +52,7 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Short transport kind tag ("des-fluid", "shm-ring", "ibv"), used in
+  /// Short transport kind tag ("des-fluid", "shm-ring"), used in
   /// diagnostics and bench CSV metadata.
   virtual std::string_view kind() const = 0;
 

@@ -2,7 +2,7 @@
 // ownership.
 //
 // Two runtime oracles for the concurrency discipline the static layer
-// (common/thread_annotations.hpp + the partib-* tidy checks) cannot prove:
+// (common/thread_annotations.hpp + the partib_lint checks) cannot prove:
 //
 //  * **Lock-order auditor** — observes every partib::Mutex
 //    acquire/release (via the common/mutex.hpp observer hooks) and builds

@@ -6,7 +6,7 @@
 //     (common/thread_annotations.hpp), so `PARTIB_GUARDED_BY(mu)` members
 //     are compiler-checked under -Wthread-safety (PARTIB_THREAD_SAFETY=ON).
 //     std::mutex is invisible to that analysis, which is why the
-//     partib-mutex-wrapper-only tidy check bans it outside src/common/.
+//     partib-mutex-wrapper-only lint check bans it outside src/common/.
 //
 //  2. A lock *name* — a string literal identifying the lock class (all
 //     worker-deque locks share "runner.worker_deque").  The lock-order

@@ -15,16 +15,16 @@
 //     shims.
 //
 //  2. PARTIB_HOT: marks a steady-state fast-path function (pready -> WQE
-//     -> CQ plane, engine dispatch).  It expands to [[gnu::hot]] plus —
-//     under clang — an `annotate("partib_hot")` attribute that the
-//     partib-no-alloc-in-hot-path tidy check (tools/tidy-plugin) keys on
-//     to reject heap allocation in the marked function at analysis time,
-//     complementing the PARTIB_CHECK runtime no-allocation asserts.
+//     -> CQ plane, engine dispatch).  It expands to [[gnu::hot]]; the
+//     partib-no-alloc-in-hot-path check (partib_lint, tools/tidy-plugin)
+//     keys on the marker to reject heap allocation in the marked function
+//     at analysis time, complementing the PARTIB_CHECK runtime
+//     no-allocation asserts.
 //
 // Only partib::Mutex / partib::MutexLock / partib::CondVar
 // (common/mutex.hpp) carry the capability attributes; raw std::mutex is
 // invisible to the analysis, which is why the partib-mutex-wrapper-only
-// tidy check bans it outside src/common/.
+// check bans it outside src/common/.
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -81,9 +81,7 @@
 // ---------------------------------------------------------------------------
 // Hot-path marker (see header comment, family 2).
 
-#if defined(__clang__)
-#define PARTIB_HOT [[gnu::hot]] __attribute__((annotate("partib_hot")))
-#elif defined(__GNUC__)
+#if defined(__GNUC__)
 #define PARTIB_HOT [[gnu::hot]]
 #else
 #define PARTIB_HOT

@@ -78,9 +78,9 @@ std::size_t optimal_transport_partitions(const LogGPParams& p,
 /// Same search over the drain-aware model.  Unlike the headline model —
 /// where the laggard delay is an additive constant and cannot move the
 /// optimum — here the delay bounds how many early partitions fit on the
-/// wire, so the result genuinely depends on cfg.delay.  This is the model
-/// the online-adaptive aggregator tunes (the auto-tuning approach the
-/// paper's §IV-D defers to future work).
+/// wire, so the result genuinely depends on cfg.delay.  The
+/// arrival-learning aggregator plans its initial layout with it from a
+/// delay guess (the auto-tuning the paper's §IV-D defers to future work).
 std::size_t optimal_transport_partitions_with_drain(
     const LogGPParams& p, std::size_t message_bytes,
     std::size_t user_partitions, const OptimizerConfig& cfg = {});

@@ -64,8 +64,6 @@ PsendRequest::PsendRequest(mpi::Rank& rank, std::span<std::byte> buffer,
   }
   if (opts_.qp_count_override != 0) plan_.qp_count = opts_.qp_count_override;
   PARTIB_ASSERT(plan_.qp_count >= 1);
-  PARTIB_ASSERT_MSG(!(plan_.learning && plan_.adaptive),
-                    "learning and scalar-adaptive modes are exclusive");
 
   // Group-layout storage is reserved once for the largest layout any
   // replan may adopt, so Start-time re-planning stays allocation-free.
@@ -75,20 +73,13 @@ PsendRequest::PsendRequest(mpi::Rank& rank, std::span<std::byte> buffer,
   if (plan_.learning) {
     max_groups = std::max(max_groups, std::min(n_, plan_.learn.max_groups));
   }
-  if (plan_.adaptive) {
-    // The scalar-adaptive re-optimizer may raise tp up to the optimizer's
-    // cap when the measured spread grows.
-    max_groups = std::max(
-        max_groups, std::min(n_, plan_.optimizer.max_transport_partitions));
-  }
   max_groups = std::max(max_groups, plan_.group_first.size());
   group_first_.reserve(max_groups);
   group_count_.reserve(max_groups);
   groups_.reserve(max_groups);
 
   if (!plan_.group_first.empty()) {
-    // Explicit (possibly non-uniform) layout from the aggregator — the
-    // oracle arm plans straight from the true arrival vector.
+    // Explicit (possibly non-uniform) layout from the aggregator.
     PARTIB_ASSERT(plan_.group_first.size() == plan_.group_count.size());
     adopt_layout(plan_.group_first.data(), plan_.group_count.data(),
                  plan_.group_first.size());
@@ -254,38 +245,15 @@ Status PsendRequest::start() {
     // swapping the group layout cannot orphan a timer or an arrived run.
     if (started_ && ready_count_ == n_) profile_.fold();
     replan_from_profile();
-  } else if (plan_.adaptive && started_ && ready_count_ == n_) {
-    adapt_transport_partitions();
   }
   started_ = true;
   ++round_;
   ready_count_ = 0;
-  round_first_pready_ = -1;
-  round_last_pready_ = -1;
   std::fill(arrived_words_.begin(), arrived_words_.end(), std::uint64_t{0});
   std::fill(sent_words_.begin(), sent_words_.end(), std::uint64_t{0});
   for (Group& g : groups_) PARTIB_ASSERT(!g.timer.valid());
   groups_.assign(tp_, Group{});
   return Status::kOk;
-}
-
-void PsendRequest::adapt_transport_partitions() {
-  const Duration sample = round_last_pready_ - round_first_pready_;
-  PARTIB_ASSERT(round_first_pready_ >= 0 && sample >= 0);
-  if (ewma_delay_ < 0) {
-    ewma_delay_ = sample;
-  } else {
-    ewma_delay_ = static_cast<Duration>(
-        plan_.ewma_alpha * static_cast<double>(sample) +
-        (1.0 - plan_.ewma_alpha) * static_cast<double>(ewma_delay_));
-  }
-  model::OptimizerConfig cfg = plan_.optimizer;
-  cfg.delay = ewma_delay_;
-  const std::size_t new_tp = agg::clamp_transport_partitions(
-      model::optimal_transport_partitions_with_drain(plan_.model_params,
-                                                     buf_.size(), n_, cfg),
-      n_);
-  if (new_tp != tp_) set_uniform_groups(new_tp);
 }
 
 void PsendRequest::set_uniform_groups(std::size_t tp) {
@@ -376,10 +344,9 @@ PARTIB_HOT Status PsendRequest::pready(std::size_t partition) {
   }
   bitmap_set(arrived_words_.data(), partition);
   ++ready_count_;
-  const Time now = rank_.world().engine().now();
-  if (round_first_pready_ < 0) round_first_pready_ = now;
-  round_last_pready_ = now;
-  if (plan_.learning) profile_.record(partition, now);
+  if (plan_.learning) {
+    profile_.record(partition, rank_.world().engine().now());
+  }
 
   const std::size_t g = group_of(partition);
   Group& grp = groups_[g];

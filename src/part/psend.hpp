@@ -140,9 +140,6 @@ class PsendRequest {
   int round() const { return round_; }
   bool handshake_done() const { return remote_ready_; }
   std::uint64_t wrs_posted_total() const { return wrs_posted_total_; }
-  /// EWMA of measured round Pready spread (adaptive plans; -1 before the
-  /// first completed round).
-  Duration adapted_delay() const { return ewma_delay_; }
 
   // -- control-plane entry points (called via World::send_control) ----------
   void on_ack(const RecvAck& ack);
@@ -243,9 +240,6 @@ class PsendRequest {
   void schedule_progress();
   void progress();
   void check_completion();
-  /// Adaptive plans: fold the finished round's Pready spread into the
-  /// EWMA and re-run the drain-aware optimizer for the next round.
-  void adapt_transport_partitions();
 
   Duration ucx_software_cost(std::size_t bytes) const;
   Duration ucx_pre_post_delay(std::size_t bytes) const;
@@ -294,9 +288,6 @@ class PsendRequest {
   bool failed_ = false;  ///< failure budget spent; channel is dead
   int round_ = 0;
   std::size_t ready_count_ = 0;
-  Time round_first_pready_ = -1;
-  Time round_last_pready_ = -1;
-  Duration ewma_delay_ = -1;
   // -- arrival learning (docs/ADAPTIVE.md) ------------------------------------
   ArrivalProfile profile_;
   model::ArrivalPlanScratch plan_scratch_;

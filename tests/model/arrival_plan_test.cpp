@@ -39,6 +39,7 @@ PlanOut plan(const std::vector<Duration>& arrival,
 }
 
 std::vector<Duration> ramp(std::size_t n, Duration spread) {
+  if (n == 1) return {0};  // one partition: no spread to interpolate
   std::vector<Duration> a(n);
   for (std::size_t i = 0; i < n; ++i) {
     a[i] = (spread * static_cast<Duration>(i)) /

@@ -186,5 +186,18 @@ TEST(Optimizer, ThresholdScalingFollowsSqrtLaw) {
   EXPECT_EQ(tp_b, 2 * tp_a);
 }
 
+TEST(ModelDrain, DelayMovesTheDrainAwareOptimum) {
+  const auto p = model::LogGPParams::niagara_mpi_measured();
+  model::OptimizerConfig small_delay;
+  small_delay.delay = usec(10);
+  model::OptimizerConfig big_delay;
+  big_delay.delay = msec(20);
+  const std::size_t tp_small = model::optimal_transport_partitions_with_drain(
+      p, 256 * MiB, 32, small_delay);
+  const std::size_t tp_big = model::optimal_transport_partitions_with_drain(
+      p, 256 * MiB, 32, big_delay);
+  EXPECT_LT(tp_small, tp_big);
+}
+
 }  // namespace
 }  // namespace partib::model

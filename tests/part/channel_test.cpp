@@ -57,6 +57,41 @@ TEST_P(Channel, StaticPlanUsesRequestedTransportPartitions) {
   EXPECT_EQ(fx.send->wrs_posted_total(), 8u);
 }
 
+// An aggregator that hands psend an explicit, non-uniform contiguous
+// layout through Plan::group_first / group_count.
+class ExplicitLayoutAggregator final : public agg::Aggregator {
+ public:
+  agg::Plan plan(std::size_t, std::size_t) const override {
+    agg::Plan p;
+    p.transport_partitions = 3;
+    p.group_first = {0, 10, 48};
+    p.group_count = {10, 38, 16};
+    return p;
+  }
+  const char* name() const override { return "explicit-layout"; }
+};
+
+TEST_P(Channel, ExplicitPlanLayoutIsAdoptedAndDeliversByteExact) {
+  ChannelFixture fx(64 * KiB, 64,
+                    options_with(std::make_shared<ExplicitLayoutAggregator>()));
+  const auto firsts = fx.send->group_firsts();
+  const auto counts = fx.send->group_counts();
+  EXPECT_EQ(std::vector<std::size_t>(firsts.begin(), firsts.end()),
+            (std::vector<std::size_t>{0, 10, 48}));
+  EXPECT_EQ(std::vector<std::size_t>(counts.begin(), counts.end()),
+            (std::vector<std::size_t>{10, 38, 16}));
+  EXPECT_EQ(fx.send->transport_partitions(), 3u);
+  for (int round = 1; round <= 3; ++round) {
+    fx.run_round(round);
+    ASSERT_TRUE(fx.send->test()) << "round " << round;
+    ASSERT_TRUE(fx.recv->test()) << "round " << round;
+    ASSERT_TRUE(buffers_equal(fx.sbuf, fx.rbuf)) << "round " << round;
+  }
+  // One WR per group per round: the layout held across Starts.
+  EXPECT_EQ(fx.send->wrs_posted_total(), 9u);
+  EXPECT_EQ(fx.recv->messages_received_total(), 9u);
+}
+
 TEST_P(Channel, MultipleRoundsReuseTheChannel) {
   ChannelFixture fx(32 * KiB, 8, ploggp_options());
   for (int round = 1; round <= 5; ++round) {

@@ -190,8 +190,8 @@ TEST(Learning, SeedProfileRejectsBadCalls) {
 
 TEST(Learning, ScenarioReplaysBitIdentically) {
   const auto run_scenario = [] {
-    check::DeterminismAuditor auditor;
     ChannelFixture fx(16 * MiB, 64, learning_options());
+    check::DeterminismAuditor auditor;  // after fx: detaches before it dies
     auditor.attach(fx.engine);
     fx.engine.run();
     int round = 0;

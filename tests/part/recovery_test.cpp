@@ -118,9 +118,9 @@ TEST_F(Recovery, FaultedRunsAreDeterministic) {
   // through retries, recycles and retransmissions.
   std::uint64_t fp[2];
   for (int i = 0; i < 2; ++i) {
-    check::DeterminismAuditor auditor;
     ChannelFixture fx(128 * KiB, 32, test::ploggp_options(),
                       faulty_world(transient_faults(99)));
+    check::DeterminismAuditor auditor;  // after fx: detaches before it dies
     auditor.attach(fx.engine);
     for (int round = 0; round < 2; ++round) fx.run_round(round);
     EXPECT_TRUE(buffers_equal(fx.sbuf, fx.rbuf));

@@ -252,11 +252,11 @@ TEST(Fig8, DisabledFaultPlanLeavesEventStreamIdentical) {
   // a world with no plan at all.
   std::uint64_t fp[2];
   for (int i = 0; i < 2; ++i) {
-    check::DeterminismAuditor auditor;
     ChannelFixture fx(512 * KiB, 32, ploggp_options());
     if (i == 1) {
       fx.world->fab().set_fault_plan(fabric::FaultPlan{});  // installed, inert
     }
+    check::DeterminismAuditor auditor;  // after fx: detaches before it dies
     auditor.attach(fx.engine);
     for (int round = 0; round < 3; ++round) fx.run_round(round);
     EXPECT_TRUE(buffers_equal(fx.sbuf, fx.rbuf));

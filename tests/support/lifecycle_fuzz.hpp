@@ -186,9 +186,9 @@ inline void run_srq_shared_trial(std::uint64_t seed, sim::Rng& rng,
                                  std::size_t partitions, std::size_t psize,
                                  int rounds, const mpi::WorldOptions& wopts,
                                  LifecycleTrialResult* result) {
-  check::DeterminismAuditor auditor;
   SharedSiblingFixture fx(partitions * psize, partitions,
                           random_fuzz_options(rng), wopts);
+  check::DeterminismAuditor auditor;  // after fx: detaches before it dies
   auditor.attach(fx.engine);
 
   for (int round = 1; round <= rounds; ++round) {
@@ -286,12 +286,12 @@ inline LifecycleTrialResult run_lifecycle_trial(std::uint64_t seed) {
     return result;
   }
 
-  check::DeterminismAuditor auditor;
   ChannelFixture fx(partitions * psize, partitions,
                     result.shape == FaultShape::kArrivalPerturbed
                         ? perturbed_learning_options(rng)
                         : random_fuzz_options(rng),
                     wopts);
+  check::DeterminismAuditor auditor;  // after fx: detaches before it dies
   auditor.attach(fx.engine);
 
   for (int round = 1; round <= rounds; ++round) {

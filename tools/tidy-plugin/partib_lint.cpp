@@ -1,14 +1,9 @@
-// partib_lint — standalone implementation of the five partib-* checks.
+// partib_lint — the single implementation of the five partib-* checks.
 //
-// The authoritative, AST-accurate implementation of these checks is the
-// clang-tidy plugin next to this file (PartibTidyModule.cpp).  That plugin
-// needs the clang-tidy development headers, which not every build host has
-// (the CI lint job does; a bare container often does not).  This tool
-// re-implements the same checks over a hand-rolled C++ lexer so that
-//
-//   * the checks run (and gate CI) on any host with a C++20 compiler, and
-//   * the FileCheck fixtures under test/ exercise one diagnostic grammar
-//     shared by both implementations:
+// The checks run over a hand-rolled C++ lexer rather than the clang AST,
+// so they run (and gate ctest and CI) on any host with a C++20 compiler.
+// Findings use clang-tidy's diagnostic grammar, which the FileCheck
+// fixtures under test/ match:
 //
 //       <file>:<line>:<col>: warning: <message> [<check-name>]
 //
