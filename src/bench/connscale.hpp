@@ -30,6 +30,12 @@ struct ConnScaleConfig {
   mpi::WorldOptions world;
 };
 
+template <typename V, FieldsOf<ConnScaleConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.peers, c.alltoall, c.bytes, c.user_partitions, c.rounds, c.seed,
+    c.options, c.world);
+}
+
 struct ConnScaleResult {
   Duration mean_round = 0;  ///< virtual time per round, averaged
   /// Hot-rank (rank 0) verbs objects after all rounds.
@@ -42,6 +48,12 @@ struct ConnScaleResult {
   std::uint64_t establishments = 0;
   std::uint64_t recycles = 0;
 };
+
+template <typename V, FieldsOf<ConnScaleResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.mean_round, r.hot_qps, r.hot_cqs, r.hot_srqs, r.hot_provisioned_bytes,
+    r.hot_resident_bytes, r.establishments, r.recycles);
+}
 
 ConnScaleResult run_connscale(const ConnScaleConfig& cfg);
 

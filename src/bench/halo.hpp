@@ -32,11 +32,22 @@ struct HaloConfig {
   mpi::WorldOptions world;
 };
 
+template <typename V, FieldsOf<HaloConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.px, c.py, c.threads, c.face_bytes, c.compute, c.noise,
+    c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options, c.world);
+}
+
 struct HaloResult {
   Duration total_time = 0;       ///< measured iterations only
   Duration compute_on_path = 0;  ///< iterations * nominal compute
   Duration comm_time = 0;
 };
+
+template <typename V, FieldsOf<HaloResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.total_time, r.compute_on_path, r.comm_time);
+}
 
 HaloResult run_halo(HaloConfig cfg);
 

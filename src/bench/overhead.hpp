@@ -31,6 +31,12 @@ struct OverheadConfig {
   mpi::WorldOptions world;
 };
 
+template <typename V, FieldsOf<OverheadConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.total_bytes, c.user_partitions, c.iterations, c.warmup,
+    c.start_jitter_per_thread, c.seed, c.options, c.world);
+}
+
 struct OverheadResult {
   Duration mean_round = 0;
   Duration min_round = 0;
@@ -40,6 +46,12 @@ struct OverheadResult {
   /// host-side posting work; excludes jitter/compute).
   Duration host_cpu_per_round = 0;
 };
+
+template <typename V, FieldsOf<OverheadResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.mean_round, r.min_round, r.max_round, r.wrs_posted,
+    r.host_cpu_per_round);
+}
 
 OverheadResult run_overhead(const OverheadConfig& cfg);
 

@@ -39,6 +39,15 @@ struct PerceivedConfig {
   prof::PartProfiler* profiler = nullptr;
 };
 
+/// `profiler` is left out on purpose: it observes a trial rather than
+/// shaping it, and profiler-carrying grids bypass the cache instead
+/// (run_perceived_grid).
+template <typename V, FieldsOf<PerceivedConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.total_bytes, c.user_partitions, c.compute, c.noise,
+    c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options, c.world);
+}
+
 struct PerceivedResult {
   double mean_gbytes_per_s = 0.0;
   double min_gbytes_per_s = 0.0;
@@ -49,6 +58,12 @@ struct PerceivedResult {
   /// timer aggregator: a small delta flushes more, smaller, runs).
   double mean_wrs_per_round = 0.0;
 };
+
+template <typename V, FieldsOf<PerceivedResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.mean_gbytes_per_s, r.min_gbytes_per_s, r.max_gbytes_per_s,
+    r.wire_gbytes_per_s, r.mean_wrs_per_round);
+}
 
 PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg);
 

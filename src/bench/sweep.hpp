@@ -35,11 +35,22 @@ struct SweepConfig {
   mpi::WorldOptions world;
 };
 
+template <typename V, FieldsOf<SweepConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.px, c.py, c.threads, c.message_bytes, c.compute, c.noise,
+    c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options, c.world);
+}
+
 struct SweepResult {
   Duration total_time = 0;      ///< measured iterations only
   Duration compute_on_path = 0; ///< critical-path compute subtracted
   Duration comm_time = 0;       ///< total - compute_on_path
 };
+
+template <typename V, FieldsOf<SweepResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.total_time, r.compute_on_path, r.comm_time);
+}
 
 SweepResult run_sweep(SweepConfig cfg);
 

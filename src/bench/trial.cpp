@@ -1,8 +1,6 @@
 #include "bench/trial.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 
 #include "runner/fingerprint.hpp"
 
@@ -10,444 +8,122 @@ namespace partib::bench {
 
 namespace {
 
-// -- fingerprint feed helpers ------------------------------------------------
-
-void hash_loggp(runner::Hasher& h, const model::LogGPParams& p) {
-  h.i64(p.L).i64(p.o_s).i64(p.o_r).i64(p.g).f64(p.G);
+/// The seed convention: seed == 0 asks for derive_seed(fingerprint).
+template <typename Config, typename Run>
+auto seeded_trial(Config cfg, Run run) {
+  if (cfg.seed == 0) cfg.seed = runner::derive_seed(fingerprint(cfg));
+  return run(cfg);
 }
 
-void hash_nic(runner::Hasher& h, const fabric::NicParams& nic) {
-  hash_loggp(h, nic.wire);
-  h.u64(nic.mtu)
-      .u64(nic.segment_header_bytes)
-      .i64(nic.max_outstanding_wr_per_qp)
-      .f64(nic.qp_bw_share)
-      .i64(nic.qp_activation)
-      .i64(nic.o_post)
-      .i64(nic.ctrl_overhead);
+template <typename Config, typename Result>
+std::vector<Result> run_grid(const std::vector<Config>& grid,
+                             Result (*trial)(const Config&),
+                             const runner::RunOptions& opts,
+                             runner::RunStats* stats) {
+  return runner::run_trials<Config, Result>(
+      grid, trial, [](const Config& c) { return fingerprint(c); },
+      runner::fields_codec<Result>(), opts, stats);
 }
-
-void hash_world(runner::Hasher& h, const mpi::WorldOptions& w) {
-  h.i64(w.ranks);
-  hash_nic(h, w.nic);
-  h.boolean(w.copy_data)
-      .i64(w.cores_per_rank)
-      .i64(w.cq_depth)
-      .i64(w.pready_cpu)
-      .i64(w.verbs_sw_per_msg)
-      .boolean(w.dpu_aggregation)
-      .i64(w.dpu_post_overhead);
-}
-
-void hash_ucx(runner::Hasher& h, const part::UcxModel& u) {
-  h.u64(u.bcopy_max)
-      .u64(u.rndv_min)
-      .i64(u.o_bcopy)
-      .f64(u.copy_G)
-      .i64(u.o_zcopy)
-      .i64(u.o_rndv)
-      .i64(u.rndv_extra_latencies)
-      .f64(u.eager_wire_share)
-      .boolean(u.model_lock_convoy);
-}
-
-void hash_options(runner::Hasher& h, const part::Options& o) {
-  // Strategy identity comes from describe(): parameter-complete by
-  // contract (agg/aggregator.hpp), so two option sets hash equal exactly
-  // when they plan identically.
-  h.str(o.aggregator ? o.aggregator->describe() : "none");
-  h.u64(o.transport_partitions_override).i64(o.qp_count_override);
-  h.boolean(o.shared_resources);
-  hash_ucx(h, o.ucx);
-}
-
-// -- codec helpers -----------------------------------------------------------
-
-/// Whitespace-separated field scanner over a cache payload.  strtoll /
-/// strtod accept exactly what the encoders emit (decimal integers,
-/// printf %a hexfloats), so decode is an exact inverse of encode.
-struct FieldReader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  explicit FieldReader(std::string_view s)
-      : p(s.data()), end(s.data() + s.size()) {}
-
-  std::int64_t i64() {
-    char* next = nullptr;
-    const long long v = std::strtoll(p, &next, 10);
-    return take(next) ? static_cast<std::int64_t>(v) : 0;
-  }
-
-  std::uint64_t u64() {
-    char* next = nullptr;
-    const unsigned long long v = std::strtoull(p, &next, 10);
-    return take(next) ? static_cast<std::uint64_t>(v) : 0;
-  }
-
-  double f64() {
-    char* next = nullptr;
-    const double v = std::strtod(p, &next);
-    return take(next) ? v : 0.0;
-  }
-
- private:
-  bool take(char* next) {
-    // The payload is NUL-terminated by the cache layer's std::string, so
-    // strto* cannot scan past `end`; a conversion that consumed nothing
-    // (next == p) means a malformed/truncated payload.
-    if (next == p || next > end) {
-      ok = false;
-      return false;
-    }
-    p = next;
-    return true;
-  }
-};
 
 }  // namespace
 
-// -- fingerprints ------------------------------------------------------------
-
 std::uint64_t fingerprint(const OverheadConfig& cfg) {
-  runner::Hasher h;
-  h.str("overhead/v1")
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .i64(cfg.start_jitter_per_thread)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return runner::fingerprint_fields("overhead/v1", cfg);
 }
-
 std::uint64_t fingerprint(const PerceivedConfig& cfg) {
-  runner::Hasher h;
-  h.str("perceived/v1")
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  // cfg.profiler is intentionally not hashed: it is an observer, not an
-  // input; profiler-carrying grids bypass the cache instead (see
-  // run_perceived_grid).
-  return h.digest();
+  return runner::fingerprint_fields("perceived/v1", cfg);
 }
-
 std::uint64_t fingerprint(const SweepConfig& cfg) {
-  runner::Hasher h;
-  h.str("sweep/v1")
-      .i64(cfg.px)
-      .i64(cfg.py)
-      .u64(cfg.threads)
-      .u64(cfg.message_bytes)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return runner::fingerprint_fields("sweep/v1", cfg);
 }
-
 std::uint64_t fingerprint(const HaloConfig& cfg) {
-  runner::Hasher h;
-  h.str("halo/v1")
-      .i64(cfg.px)
-      .i64(cfg.py)
-      .u64(cfg.threads)
-      .u64(cfg.face_bytes)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return runner::fingerprint_fields("halo/v1", cfg);
 }
-
 std::uint64_t fingerprint(const ConnScaleConfig& cfg) {
-  runner::Hasher h;
-  h.str("connscale/v1")
-      .i64(cfg.peers)
-      .boolean(cfg.alltoall)
-      .u64(cfg.bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.rounds)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return runner::fingerprint_fields("connscale/v1", cfg);
 }
-
 std::uint64_t fingerprint(const ZooConfig& cfg) {
-  runner::Hasher h;
-  h.str("zoo/v1")
-      .i64(static_cast<std::int64_t>(cfg.shape))
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .boolean(cfg.oracle)
-      .i64(cfg.spread)
-      .i64(cfg.epochs)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return runner::fingerprint_fields("zoo/v1", cfg);
 }
-
-// -- codecs ------------------------------------------------------------------
 
 runner::Codec<OverheadResult> overhead_codec() {
-  runner::Codec<OverheadResult> c;
-  c.encode = [](const OverheadResult& r) -> std::string {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "%" PRId64 " %" PRId64 " %" PRId64 " %" PRIu64 " %" PRId64,
-                  static_cast<std::int64_t>(r.mean_round),
-                  static_cast<std::int64_t>(r.min_round),
-                  static_cast<std::int64_t>(r.max_round), r.wrs_posted,
-                  static_cast<std::int64_t>(r.host_cpu_per_round));
-    return buf;
-  };
-  c.decode = [](std::string_view s, OverheadResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_round = f.i64();
-    r->min_round = f.i64();
-    r->max_round = f.i64();
-    r->wrs_posted = f.u64();
-    r->host_cpu_per_round = f.i64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<OverheadResult>();
 }
-
 runner::Codec<PerceivedResult> perceived_codec() {
-  runner::Codec<PerceivedResult> c;
-  c.encode = [](const PerceivedResult& r) -> std::string {
-    // %a hexfloat round-trips doubles bit-exactly through strtod.
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%a %a %a %a %a", r.mean_gbytes_per_s,
-                  r.min_gbytes_per_s, r.max_gbytes_per_s, r.wire_gbytes_per_s,
-                  r.mean_wrs_per_round);
-    return buf;
-  };
-  c.decode = [](std::string_view s, PerceivedResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_gbytes_per_s = f.f64();
-    r->min_gbytes_per_s = f.f64();
-    r->max_gbytes_per_s = f.f64();
-    r->wire_gbytes_per_s = f.f64();
-    r->mean_wrs_per_round = f.f64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<PerceivedResult>();
 }
-
 runner::Codec<SweepResult> sweep_codec() {
-  runner::Codec<SweepResult> c;
-  c.encode = [](const SweepResult& r) -> std::string {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%" PRId64 " %" PRId64 " %" PRId64,
-                  static_cast<std::int64_t>(r.total_time),
-                  static_cast<std::int64_t>(r.compute_on_path),
-                  static_cast<std::int64_t>(r.comm_time));
-    return buf;
-  };
-  c.decode = [](std::string_view s, SweepResult* r) -> bool {
-    FieldReader f(s);
-    r->total_time = f.i64();
-    r->compute_on_path = f.i64();
-    r->comm_time = f.i64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<SweepResult>();
 }
-
 runner::Codec<HaloResult> halo_codec() {
-  runner::Codec<HaloResult> c;
-  c.encode = [](const HaloResult& r) -> std::string {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%" PRId64 " %" PRId64 " %" PRId64,
-                  static_cast<std::int64_t>(r.total_time),
-                  static_cast<std::int64_t>(r.compute_on_path),
-                  static_cast<std::int64_t>(r.comm_time));
-    return buf;
-  };
-  c.decode = [](std::string_view s, HaloResult* r) -> bool {
-    FieldReader f(s);
-    r->total_time = f.i64();
-    r->compute_on_path = f.i64();
-    r->comm_time = f.i64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<HaloResult>();
 }
-
 runner::Codec<ConnScaleResult> connscale_codec() {
-  runner::Codec<ConnScaleResult> c;
-  c.encode = [](const ConnScaleResult& r) -> std::string {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%" PRId64 " %" PRId64 " %" PRId64 " %" PRId64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64,
-                  static_cast<std::int64_t>(r.mean_round), r.hot_qps,
-                  r.hot_cqs, r.hot_srqs, r.hot_provisioned_bytes,
-                  r.hot_resident_bytes, r.establishments, r.recycles);
-    return buf;
-  };
-  c.decode = [](std::string_view s, ConnScaleResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_round = f.i64();
-    r->hot_qps = f.i64();
-    r->hot_cqs = f.i64();
-    r->hot_srqs = f.i64();
-    r->hot_provisioned_bytes = f.u64();
-    r->hot_resident_bytes = f.u64();
-    r->establishments = f.u64();
-    r->recycles = f.u64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<ConnScaleResult>();
 }
-
 runner::Codec<ZooResult> zoo_codec() {
-  runner::Codec<ZooResult> c;
-  c.encode = [](const ZooResult& r) -> std::string {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%a %a %a %a %a %" PRId64 " %a %a %" PRId64,
-                  r.warm_gbytes_per_s, r.all_gbytes_per_s,
-                  r.phase_gbytes_per_s[0], r.phase_gbytes_per_s[1],
-                  r.phase_gbytes_per_s[2], r.final_tp, r.final_delta_us,
-                  r.mean_wrs_per_epoch, r.replans_adopted);
-    return buf;
-  };
-  c.decode = [](std::string_view s, ZooResult* r) -> bool {
-    FieldReader f(s);
-    r->warm_gbytes_per_s = f.f64();
-    r->all_gbytes_per_s = f.f64();
-    r->phase_gbytes_per_s[0] = f.f64();
-    r->phase_gbytes_per_s[1] = f.f64();
-    r->phase_gbytes_per_s[2] = f.f64();
-    r->final_tp = f.i64();
-    r->final_delta_us = f.f64();
-    r->mean_wrs_per_epoch = f.f64();
-    r->replans_adopted = f.i64();
-    return f.ok;
-  };
-  return c;
+  return runner::fields_codec<ZooResult>();
 }
-
-// -- trial forms -------------------------------------------------------------
 
 OverheadResult overhead_trial(const OverheadConfig& cfg) {
-  OverheadConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_overhead(c);
+  return seeded_trial(cfg, run_overhead);
 }
-
 PerceivedResult perceived_trial(const PerceivedConfig& cfg) {
-  PerceivedConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_perceived_bandwidth(c);
+  return seeded_trial(cfg, run_perceived_bandwidth);
 }
-
 SweepResult sweep_trial(const SweepConfig& cfg) {
-  SweepConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_sweep(c);
+  return seeded_trial(cfg, run_sweep);
 }
-
 HaloResult halo_trial(const HaloConfig& cfg) {
-  HaloConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_halo(c);
+  return seeded_trial(cfg, run_halo);
 }
-
 ConnScaleResult connscale_trial(const ConnScaleConfig& cfg) {
-  ConnScaleConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_connscale(c);
+  return seeded_trial(cfg, run_connscale);
 }
-
 ZooResult zoo_trial(const ZooConfig& cfg) {
-  ZooConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_zoo(c);
+  return seeded_trial(cfg, run_zoo);
 }
-
-// -- grid runners ------------------------------------------------------------
 
 std::vector<OverheadResult> run_overhead_grid(
     const std::vector<OverheadConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  return runner::run_trials<OverheadConfig, OverheadResult>(
-      grid, overhead_trial,
-      [](const OverheadConfig& c) { return fingerprint(c); },
-      overhead_codec(), opts, stats);
+  return run_grid(grid, overhead_trial, opts, stats);
 }
 
 std::vector<PerceivedResult> run_perceived_grid(
     const std::vector<PerceivedConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
   runner::RunOptions o = opts;
-  for (const PerceivedConfig& c : grid) {
-    if (c.profiler != nullptr) {
-      o.cache = nullptr;  // profiler side effects cannot replay from cache
-      break;
-    }
+  // Profiler side effects cannot replay from the cache.
+  if (std::any_of(grid.begin(), grid.end(),
+                  [](const PerceivedConfig& c) { return c.profiler; })) {
+    o.cache = nullptr;
   }
-  return runner::run_trials<PerceivedConfig, PerceivedResult>(
-      grid, perceived_trial,
-      [](const PerceivedConfig& c) { return fingerprint(c); },
-      perceived_codec(), o, stats);
+  return run_grid(grid, perceived_trial, o, stats);
 }
 
 std::vector<SweepResult> run_sweep_grid(const std::vector<SweepConfig>& grid,
                                         const runner::RunOptions& opts,
                                         runner::RunStats* stats) {
-  return runner::run_trials<SweepConfig, SweepResult>(
-      grid, sweep_trial, [](const SweepConfig& c) { return fingerprint(c); },
-      sweep_codec(), opts, stats);
+  return run_grid(grid, sweep_trial, opts, stats);
 }
 
 std::vector<HaloResult> run_halo_grid(const std::vector<HaloConfig>& grid,
                                       const runner::RunOptions& opts,
                                       runner::RunStats* stats) {
-  return runner::run_trials<HaloConfig, HaloResult>(
-      grid, halo_trial, [](const HaloConfig& c) { return fingerprint(c); },
-      halo_codec(), opts, stats);
+  return run_grid(grid, halo_trial, opts, stats);
 }
 
 std::vector<ConnScaleResult> run_connscale_grid(
     const std::vector<ConnScaleConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  return runner::run_trials<ConnScaleConfig, ConnScaleResult>(
-      grid, connscale_trial,
-      [](const ConnScaleConfig& c) { return fingerprint(c); },
-      connscale_codec(), opts, stats);
+  return run_grid(grid, connscale_trial, opts, stats);
 }
 
 std::vector<ZooResult> run_zoo_grid(const std::vector<ZooConfig>& grid,
                                     const runner::RunOptions& opts,
                                     runner::RunStats* stats) {
-  return runner::run_trials<ZooConfig, ZooResult>(
-      grid, zoo_trial, [](const ZooConfig& c) { return fingerprint(c); },
-      zoo_codec(), opts, stats);
+  return run_grid(grid, zoo_trial, opts, stats);
 }
 
 }  // namespace partib::bench

@@ -1,12 +1,12 @@
 // Pure-trial adapters between the figure benchmarks and the parallel
 // experiment runner (runner/runner.hpp).
 //
-// Each benchmark config type gets three things here:
+// Each benchmark config type gets three things here, the first two
+// generated from the field lists beside the structs (common/fields.hpp):
 //
-//   * a `fingerprint()` — content hash of every field that can influence
-//     the simulated timeline (schema-tagged, e.g. "overhead/v1"; bump the
-//     tag whenever the trial semantics change so stale cache entries
-//     self-invalidate),
+//   * a `fingerprint()` — a schema tag (e.g. "overhead/v1") and then every
+//     config field; bump the tag when trial semantics change under an
+//     unchanged config, so stale cache entries self-invalidate,
 //   * a `Codec` — exact textual round-trip of the result struct for the
 //     persistent cache (integers in decimal, doubles in hexfloat),
 //   * a grid runner `run_*_grid()` — submit a vector of configs through

@@ -55,6 +55,12 @@ struct ZooConfig {
   mpi::WorldOptions world;
 };
 
+template <typename V, FieldsOf<ZooConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.shape, c.total_bytes, c.user_partitions, c.oracle, c.spread, c.epochs,
+    c.warmup, c.seed, c.options, c.world);
+}
+
 struct ZooResult {
   /// Mean perceived bandwidth over the post-warm-up epochs.
   double warm_gbytes_per_s = 0.0;
@@ -68,6 +74,12 @@ struct ZooResult {
   double mean_wrs_per_epoch = 0.0;
   std::int64_t replans_adopted = 0;
 };
+
+template <typename V, FieldsOf<ZooResult> S>
+void visit_fields(V&& v, S& r) {
+  v(r.warm_gbytes_per_s, r.all_gbytes_per_s, r.phase_gbytes_per_s,
+    r.final_tp, r.final_delta_us, r.mean_wrs_per_epoch, r.replans_adopted);
+}
 
 /// Fill `out[0..n)` with the shape's arrival offsets for `epoch` (pure
 /// function of its arguments — the zoo's determinism rests on it).

@@ -7,21 +7,10 @@
 namespace partib::fabric {
 
 std::uint64_t FaultPlanConfig::fingerprint() const {
-  // Schema-tagged like the bench trial fingerprints: bump the tag if a
-  // field is added, or old cache keys would alias new configs.
-  return runner::Hasher{}
-      .str("faultplan/v1")
-      .u64(seed)
-      .f64(drop_rate)
-      .f64(delay_rate)
-      .f64(rnr_rate)
-      .f64(retry_exc_rate)
-      .f64(qp_flush_rate)
-      .i64(max_delay)
-      .i64(retransmit_delay)
-      .i64(fail_latency)
-      .i64(max_drops)
-      .digest();
+  // Schema-tagged like the bench trial fingerprints.  A new field is
+  // hashed once it is in the list (fault.hpp); bump the tag only when the
+  // plan's semantics change under an unchanged config.
+  return runner::fingerprint_fields("faultplan/v1", *this);
 }
 
 FaultPlan::FaultPlan(const FaultPlanConfig& cfg) : cfg_(cfg) {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 
@@ -103,10 +104,19 @@ struct FaultPlanConfig {
            retry_exc_rate > 0 || qp_flush_rate > 0;
   }
 
-  /// FNV-1a content fingerprint over every field (runner-style: explicit
-  /// typed feed, stable across processes and ASLR).
+  /// FNV-1a content fingerprint over the field list below (the runner's
+  /// generic walk: stable across processes and ASLR).
   std::uint64_t fingerprint() const;
+
+  bool operator==(const FaultPlanConfig&) const = default;
 };
+
+template <typename V, FieldsOf<FaultPlanConfig> S>
+void visit_fields(V&& v, S& c) {
+  v(c.seed, c.drop_rate, c.delay_rate, c.rnr_rate, c.retry_exc_rate,
+    c.qp_flush_rate, c.max_delay, c.retransmit_delay, c.fail_latency,
+    c.max_drops);
+}
 
 /// A resolved, immutable fault schedule.  decide(ordinal) is a pure
 /// function of (resolved seed, ordinal).

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 
+#include "common/fields.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "model/loggp.hpp"
@@ -56,5 +57,11 @@ struct NicParams {
   /// EDR (100 Gb/s) ConnectX-5-like defaults.
   static NicParams connectx5_edr();
 };
+
+template <typename V, FieldsOf<NicParams> S>
+void visit_fields(V&& v, S& n) {
+  v(n.wire, n.mtu, n.segment_header_bytes, n.max_outstanding_wr_per_qp,
+    n.qp_bw_share, n.qp_activation, n.o_post, n.ctrl_overhead);
+}
 
 }  // namespace partib::fabric

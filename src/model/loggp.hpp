@@ -16,6 +16,7 @@
 //    direct-verbs values used by the simulated NIC.
 #pragma once
 
+#include "common/fields.hpp"
 #include "common/time.hpp"
 
 namespace partib::model {
@@ -37,5 +38,8 @@ struct LogGPParams {
   /// tests/model/ploggp_test.cpp).
   static LogGPParams niagara_mpi_measured();
 };
+
+template <typename V, FieldsOf<LogGPParams> S>
+void visit_fields(V&& v, S& p) { v(p.L, p.o_s, p.o_r, p.g, p.G); }
 
 }  // namespace partib::model

@@ -14,6 +14,7 @@
 
 #include "backend/backend.hpp"
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "fabric/fabric.hpp"
 #include "mpi/matcher.hpp"
 #include "sim/engine.hpp"
@@ -64,6 +65,21 @@ struct WorldOptions {
   int conn_srq_capacity = 1024;
   int conn_srq_limit = 64;
 };
+
+/// The last four fields post-date the pinned trial fingerprints, so they
+/// are hashed only when non-default (common/fields.hpp).
+template <typename V, FieldsOf<WorldOptions> S>
+void visit_fields(V&& v, S& w) {
+  static const WorldOptions kDefault;
+  v(w.ranks, w.nic, w.copy_data, w.cores_per_rank, w.cq_depth, w.pready_cpu,
+    w.verbs_sw_per_msg, w.dpu_aggregation, w.dpu_post_overhead,
+    Defaulted{"faults", w.faults, kDefault.faults},
+    Defaulted{"conn_max_connections", w.conn_max_connections,
+              kDefault.conn_max_connections},
+    Defaulted{"conn_srq_capacity", w.conn_srq_capacity,
+              kDefault.conn_srq_capacity},
+    Defaulted{"conn_srq_limit", w.conn_srq_limit, kDefault.conn_srq_limit});
+}
 
 class World;
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "agg/aggregator.hpp"
+#include "common/fields.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 
@@ -36,6 +37,12 @@ struct UcxModel {
   /// results (§V-B2).
   bool model_lock_convoy = true;
 };
+
+template <typename V, FieldsOf<UcxModel> S>
+void visit_fields(V&& v, S& u) {
+  v(u.bcopy_max, u.rndv_min, u.o_bcopy, u.copy_G, u.o_zcopy, u.o_rndv,
+    u.rndv_extra_latencies, u.eager_wire_share, u.model_lock_convoy);
+}
 
 /// Options accepted by psend_init / precv_init.  The aggregator is the
 /// strategy object (shared, immutable); overrides pin individual plan
@@ -72,5 +79,18 @@ struct Options {
   /// parameters, honouring the PARTIB_* environment variables.
   static Options defaults();
 };
+
+/// In fingerprint order, not declaration order.  The aggregator hashes as
+/// its parameter-complete describe() (agg/aggregator.hpp); the retry budget
+/// post-dates the pinned fingerprints (common/fields.hpp).
+template <typename V, FieldsOf<Options> S>
+void visit_fields(V&& v, S& o) {
+  static const Options kDefault;
+  v(o.aggregator, o.transport_partitions_override, o.qp_count_override,
+    o.shared_resources, o.ucx,
+    Defaulted{"max_send_retries", o.max_send_retries,
+              kDefault.max_send_retries},
+    Defaulted{"retry_backoff", o.retry_backoff, kDefault.retry_backoff});
+}
 
 }  // namespace partib::part

@@ -7,7 +7,8 @@
 // alias.  The hash is FNV-1a over an explicit, length-prefixed feed (no
 // struct memcpy: padding bytes and pointer values must never leak in),
 // so fingerprints are stable across processes, runs, and ASLR — exactly
-// what a content-addressed on-disk cache requires.
+// what a content-addressed on-disk cache requires.  fingerprint_fields()
+// generates the feed from the config's field list (common/fields.hpp).
 #pragma once
 
 #include <bit>
@@ -15,6 +16,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+
+#include "common/fields.hpp"
 
 namespace partib::runner {
 
@@ -63,6 +67,57 @@ class Hasher {
 
   std::uint64_t h_ = kFnvOffsetBasis;
 };
+
+namespace detail {
+
+/// Hash walk over a field list: unsigned integers feed u64, signed
+/// integers and enums i64, doubles f64, bools boolean; nested structs
+/// recurse, and a strategy pointer (anything with `->describe()`) feeds
+/// its describe() string, "none" when null.
+struct HashWalk {
+  Hasher& h;
+
+  template <typename... Fields>
+  void operator()(const Fields&... fields) { (leaf(fields), ...); }
+
+  template <typename T>
+  void leaf(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      h.boolean(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      h.f64(v);
+    } else if constexpr (std::is_enum_v<T> || std::is_signed_v<T>) {
+      h.i64(static_cast<std::int64_t>(v));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      h.u64(v);
+    } else if constexpr (requires { v->describe(); }) {
+      h.str(v ? v->describe() : "none");
+    } else {
+      visit_fields(*this, v);
+    }
+  }
+
+  /// Absent while default; name-tagged otherwise, so two such fields
+  /// holding equal values cannot alias.
+  template <typename T>
+  void leaf(const Defaulted<T>& f) {
+    if (f.value == f.fallback) return;
+    h.str(f.name);
+    leaf(f.value);
+  }
+};
+
+}  // namespace detail
+
+/// The schema tag (e.g. "overhead/v1"), then every field of `obj`'s list.
+/// Bump the tag when results change under an unchanged config.
+template <typename T>
+std::uint64_t fingerprint_fields(std::string_view tag, const T& obj) {
+  Hasher h;
+  h.str(tag);
+  visit_fields(detail::HashWalk{h}, obj);
+  return h.digest();
+}
 
 /// Deterministic per-trial RNG seed from a config fingerprint (splitmix64
 /// finalizer).  Never returns 0 so the result is always distinguishable

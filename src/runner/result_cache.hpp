@@ -8,13 +8,13 @@
 //
 // so re-running a figure benchmark or rebuilding the tuning table skips
 // every trial whose exact configuration has already been simulated — by
-// any earlier invocation of any binary.  Invalidation is purely
-// structural: the fingerprint covers every config field plus a
-// schema-version tag chosen by the result codec (src/bench/trial.cpp),
-// so changing a config, a codec, or the tag changes the key.  Results
-// produced by *code* changes that alter simulated timelines without
-// touching any config field must be invalidated by bumping the trial
-// schema tag (or deleting the cache directory — always safe).
+// any earlier invocation of any binary.  Invalidation is structural: the
+// fingerprint walks the config's field list (common/fields.hpp) behind a
+// schema tag (src/bench/trial.cpp), and decode rejects a payload that no
+// longer matches the result's list.  Results produced by *code* changes
+// that alter simulated timelines without touching any config field must
+// be invalidated by bumping the trial schema tag (or deleting the cache
+// directory — always safe).
 //
 // Writes go through a per-process temp file renamed into place, so
 // concurrent writers (pool workers, or two processes sweeping

@@ -24,11 +24,17 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -63,6 +69,106 @@ struct Codec {
   std::string (*encode)(const Result&) = nullptr;
   bool (*decode)(std::string_view, Result*) = nullptr;
 };
+
+namespace detail {
+
+/// Encoder walk over a field list (common/fields.hpp): one token per
+/// leaf, single-space separated.  Signed integers print as PRId64,
+/// unsigned integers as PRIu64, doubles as %a hexfloats (exact through
+/// strtod); arrays print element by element.
+struct EncodeWalk {
+  std::string& out;
+
+  template <typename... Fields>
+  void operator()(const Fields&... fields) { (put(fields), ...); }
+
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_array_v<T>) {
+      for (const auto& e : v) put(e);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      char buf[64];
+      if constexpr (std::is_floating_point_v<T>) {
+        std::snprintf(buf, sizeof(buf), "%a", static_cast<double>(v));
+      } else if constexpr (std::is_signed_v<T>) {
+        std::snprintf(buf, sizeof(buf), "%" PRId64,
+                      static_cast<std::int64_t>(v));
+      } else {
+        std::snprintf(buf, sizeof(buf), "%" PRIu64,
+                      static_cast<std::uint64_t>(v));
+      }
+      if (!out.empty()) out += ' ';
+      out += buf;
+    } else {
+      visit_fields(*this, v);
+    }
+  }
+};
+
+/// Decoder walk, the inverse of EncodeWalk.  A token that is missing,
+/// malformed or out of its field's range clears `ok`.
+struct DecodeWalk {
+  const char* p;
+  bool ok = true;
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) { (get(fields), ...); }
+
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_array_v<T>) {
+      for (auto& e : v) get(e);
+    } else if constexpr (!std::is_arithmetic_v<T>) {
+      visit_fields(*this, v);
+    } else if (ok) {
+      char* next = nullptr;
+      errno = 0;
+      if constexpr (std::is_floating_point_v<T>) {
+        // No errno check: strtod reports exact denormals as ERANGE.
+        v = static_cast<T>(std::strtod(p, &next));
+      } else if constexpr (std::is_signed_v<T>) {
+        const long long x = std::strtoll(p, &next, 10);
+        v = static_cast<T>(x);
+        ok = errno == 0 && static_cast<long long>(v) == x;
+      } else {
+        const unsigned long long x = std::strtoull(p, &next, 10);
+        v = static_cast<T>(x);
+        // strtoull wraps "-1" to the maximum instead of failing.
+        ok = errno == 0 && static_cast<unsigned long long>(v) == x &&
+             std::find(p, static_cast<const char*>(next), '-') == next;
+      }
+      ok = ok && next != p;
+      p = next;
+    }
+  }
+};
+
+template <typename Result>
+std::string encode_fields(const Result& r) {
+  std::string out;
+  visit_fields(EncodeWalk{out}, r);
+  return out;
+}
+
+/// Strict: the payload must hold exactly the listed fields (trailing
+/// whitespace allowed), so a stale entry written for a result struct that
+/// has since gained or lost a field is a miss, not a hit.
+template <typename Result>
+bool decode_fields(std::string_view s, Result* r) {
+  const std::string text(s);  // strto* need a terminator
+  DecodeWalk walk{text.c_str()};
+  visit_fields(walk, *r);
+  return walk.ok && walk.p + std::strspn(walk.p, " \t\n\r") ==
+                        text.c_str() + text.size();
+}
+
+}  // namespace detail
+
+/// The cache codec generated from Result's field list (common/fields.hpp).
+template <typename Result>
+Codec<Result> fields_codec() {
+  return {&detail::encode_fields<Result>, &detail::decode_fields<Result>};
+}
 
 namespace detail {
 
@@ -125,8 +231,9 @@ class ErrorBox {
 }  // namespace detail
 
 /// Execute `trial` over every config, in parallel, returning results in
-/// submission order.  `fingerprint` must hash every config field that can
-/// influence the result (see runner/fingerprint.hpp).
+/// submission order.  `fingerprint` must cover every config field that can
+/// influence the result; runner::fingerprint_fields over the config's
+/// field list (common/fields.hpp) does, by construction.
 template <typename Config, typename Result, typename TrialFn,
           typename FingerprintFn>
 std::vector<Result> run_trials(const std::vector<Config>& configs,

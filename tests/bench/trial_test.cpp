@@ -1,0 +1,355 @@
+// Trial schema: the field list beside each config and result struct
+// (common/fields.hpp) is the only source of the trial fingerprints and the
+// cache codecs.  Pins what those lists must keep bit-identical, checks that
+// every listed leaf enters the hash and every member is listed, and holds
+// the fields that once aliased in the result cache to distinct keys.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <bit>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <memory>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <typeinfo>
+#include <vector>
+
+#include "agg/strategies.hpp"
+#include "bench/trial.hpp"
+#include "common/fields.hpp"
+#include "common/units.hpp"
+#include "runner/result_cache.hpp"
+
+namespace partib::bench {
+namespace {
+
+constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
+constexpr auto kI64Max = std::numeric_limits<std::int64_t>::max();
+constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
+
+// -- pins --------------------------------------------------------------------
+
+TEST(TrialSchema, DefaultFingerprintsStayBitIdentical) {
+  // Zoo's random-permutation rows seed from these, and every cache entry
+  // on disk is keyed by them.
+  EXPECT_EQ(fingerprint(OverheadConfig{}), 0x8dcfe1f553c6825bULL);
+  EXPECT_EQ(fingerprint(PerceivedConfig{}), 0xfeb7296bf4e0f190ULL);
+  EXPECT_EQ(fingerprint(SweepConfig{}), 0x68f9671821f90371ULL);
+  EXPECT_EQ(fingerprint(HaloConfig{}), 0x98c472ae53976274ULL);
+  EXPECT_EQ(fingerprint(ConnScaleConfig{}), 0xbd7296dc4d89efffULL);
+  EXPECT_EQ(fingerprint(ZooConfig{}), 0x541749c66212f0d3ULL);
+  EXPECT_EQ(fabric::FaultPlanConfig{}.fingerprint(), 0x68c034d37694c5e4ULL);
+}
+
+TEST(TrialSchema, EncodingsStayByteIdentical) {
+  EXPECT_EQ(overhead_codec().encode({384344, 370001, 412345, 640, 5120}),
+            "384344 370001 412345 640 5120");
+  EXPECT_EQ(perceived_codec().encode({11.25, 0.1, 1e300, -0.0, 3.0 / 7}),
+            "0x1.68p+3 0x1.999999999999ap-4 0x1.7e43c8800759cp+996 -0x0p+0 "
+            "0x1.b6db6db6db6dbp-2");
+  EXPECT_EQ(sweep_codec().encode({123456789, 100000000, 23456789}),
+            "123456789 100000000 23456789");
+  EXPECT_EQ(halo_codec().encode({kI64Min, 0, kI64Max}),
+            "-9223372036854775808 0 9223372036854775807");
+  EXPECT_EQ(
+      connscale_codec().encode({384344, 4097, 2, 1, kU64Max, 4096, 4096, 17}),
+      "384344 4097 2 1 18446744073709551615 4096 4096 17");
+  EXPECT_EQ(zoo_codec().encode(
+                {9.5, 8.25, {1.0 / 3, kDenormal, 12.0}, 17, 4.5, 33.75, 9}),
+            "0x1.3p+3 0x1.08p+3 0x1.5555555555555p-2 0x0.0000000000001p-1022 "
+            "0x1.8p+3 17 0x1.2p+2 0x1.0ep+5 9");
+}
+
+// -- every leaf enters the hash ----------------------------------------------
+
+/// Perturbs the `target`-th leaf of a field list; with an out-of-range
+/// target it only counts leaves.  Strategy pointers are not leaves here:
+/// the aggregator is swapped explicitly (AggregatorHashesAsItsDescription).
+struct PerturbLeaf {
+  std::size_t target;
+  std::size_t seen = 0;
+
+  template <typename... Fields>
+  void operator()(Fields&&... fields) {
+    (leaf(fields), ...);
+  }
+
+  template <typename T>
+  void leaf(Defaulted<T>& f) {
+    leaf(f.value);
+  }
+
+  template <typename T>
+  void leaf(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (seen++ == target) v = !v;
+    } else if constexpr (std::is_enum_v<T>) {
+      if (seen++ == target) {
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+      }
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (seen++ == target) ++v;
+    } else if constexpr (!requires { v->describe(); }) {
+      visit_fields(*this, v);
+    }
+  }
+};
+
+template <typename Config, typename Fingerprint>
+void expect_every_leaf_hashed(Config base, Fingerprint fp) {
+  PerturbLeaf count{std::numeric_limits<std::size_t>::max()};
+  visit_fields(count, base);
+  ASSERT_GT(count.seen, 0u);
+  // Every single-leaf perturbation gets a key of its own: distinct from
+  // the base and from every other leaf's.
+  std::set<std::uint64_t> keys{fp(base)};
+  for (std::size_t k = 0; k < count.seen; ++k) {
+    Config c = base;
+    visit_fields(PerturbLeaf{k}, c);
+    EXPECT_TRUE(keys.insert(fp(c)).second) << "leaf " << k;
+  }
+}
+
+TEST(TrialSchema, EveryLeafEntersTheHash) {
+  auto bench_fp = [](const auto& c) { return fingerprint(c); };
+  expect_every_leaf_hashed(OverheadConfig{}, bench_fp);
+  expect_every_leaf_hashed(PerceivedConfig{}, bench_fp);
+  expect_every_leaf_hashed(SweepConfig{}, bench_fp);
+  expect_every_leaf_hashed(HaloConfig{}, bench_fp);
+  expect_every_leaf_hashed(ConnScaleConfig{}, bench_fp);
+  expect_every_leaf_hashed(ZooConfig{}, bench_fp);
+  expect_every_leaf_hashed(fabric::FaultPlanConfig{},
+                           [](const auto& c) { return c.fingerprint(); });
+}
+
+TEST(TrialSchema, AggregatorHashesAsItsDescription) {
+  auto with = [](std::shared_ptr<const agg::Aggregator> a) {
+    OverheadConfig c;
+    c.options.aggregator = std::move(a);
+    return fingerprint(c);
+  };
+  const std::set<std::uint64_t> keys{
+      with(nullptr),
+      with(std::make_shared<agg::PersistentBaseline>()),
+      with(std::make_shared<agg::StaticAggregator>(4, 1)),
+      with(std::make_shared<agg::StaticAggregator>(8, 1)),
+      with(std::make_shared<agg::StaticAggregator>(4, 2)),
+  };
+  EXPECT_EQ(keys.size(), 5u);
+  // Identity is the description, not the object.
+  EXPECT_EQ(with(std::make_shared<agg::StaticAggregator>(4, 1)),
+            with(std::make_shared<agg::StaticAggregator>(4, 1)));
+}
+
+// -- every member is listed --------------------------------------------------
+
+/// Converts to any member type; used only unevaluated, to count an
+/// aggregate's members by how many initializers it accepts.  An array
+/// member takes one initializer per element (brace elision).
+struct AnyMember {
+  template <typename T>
+  operator T() const;  // NOLINT(google-explicit-constructor)
+};
+
+template <typename T, typename... Probe>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{Probe{}..., AnyMember{}}; }) {
+    return member_count<T, Probe..., AnyMember>();
+  } else {
+    return sizeof...(Probe);
+  }
+}
+
+/// Top-level entries of a field list, arrays counted per element.
+struct CountEntries {
+  std::size_t n = 0;
+
+  template <typename... Fields>
+  void operator()(Fields&&... fields) {
+    (add(fields), ...);
+  }
+
+  template <typename T>
+  void add(const T&) {
+    n += std::is_array_v<T> ? std::extent_v<T> : 1;
+  }
+};
+
+template <typename T>
+std::size_t listed_count() {
+  T obj{};
+  CountEntries c;
+  visit_fields(c, obj);
+  return c.n;
+}
+
+template <typename T>
+void expect_listed() {
+  EXPECT_EQ(listed_count<T>(), member_count<T>()) << typeid(T).name();
+}
+
+template <typename... Ts>
+void expect_all_listed() {
+  (expect_listed<Ts>(), ...);
+}
+
+TEST(TrialSchema, EveryMemberIsListed) {
+  expect_all_listed<model::LogGPParams, fabric::NicParams,
+                    fabric::FaultPlanConfig, mpi::WorldOptions, part::UcxModel,
+                    part::Options, OverheadConfig, SweepConfig, HaloConfig,
+                    ConnScaleConfig, ZooConfig, OverheadResult,
+                    PerceivedResult, SweepResult, HaloResult, ConnScaleResult,
+                    ZooResult>();
+  // The profiler observes a trial rather than shaping it: deliberately
+  // unlisted, so profiler-carrying grids bypass the cache instead.
+  EXPECT_EQ(listed_count<PerceivedConfig>() + 1,
+            member_count<PerceivedConfig>());
+}
+
+// -- codecs round-trip bit-exactly -------------------------------------------
+
+/// Every leaf's bit pattern, in list order.
+struct LeafBits {
+  std::vector<std::uint64_t> bits;
+
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (add(fields), ...);
+  }
+
+  template <typename T>
+  void add(const T& v) {
+    if constexpr (std::is_array_v<T>) {
+      for (const auto& e : v) add(e);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      bits.push_back(std::bit_cast<std::uint64_t>(v));
+    } else {
+      bits.push_back(static_cast<std::uint64_t>(v));
+    }
+  }
+};
+
+template <typename Result>
+std::vector<std::uint64_t> leaf_bits(const Result& r) {
+  LeafBits b;
+  visit_fields(b, r);
+  return b.bits;
+}
+
+template <typename Result>
+void expect_round_trip(const runner::Codec<Result>& codec, const Result& r) {
+  Result back;
+  ASSERT_TRUE(codec.decode(codec.encode(r), &back)) << codec.encode(r);
+  EXPECT_EQ(leaf_bits(back), leaf_bits(r)) << codec.encode(r);
+}
+
+TEST(TrialSchema, CodecsRoundTripEdgeValuesBitExactly) {
+  expect_round_trip(overhead_codec(),
+                    OverheadResult{kI64Min, kI64Max, 0, kU64Max, -1});
+  expect_round_trip(perceived_codec(),
+                    PerceivedResult{-0.0, kDenormal, kInf, -kInf,
+                                    std::numeric_limits<double>::max()});
+  expect_round_trip(sweep_codec(), SweepResult{kI64Min, kI64Max, -1});
+  expect_round_trip(halo_codec(), HaloResult{kI64Max, kI64Min, 1});
+  expect_round_trip(connscale_codec(),
+                    ConnScaleResult{kI64Min, kI64Max, -1, 0, kU64Max, 0, 1,
+                                    kU64Max});
+  expect_round_trip(zoo_codec(),
+                    ZooResult{-0.0, kInf, {kDenormal, -kInf, 0.1}, kI64Min,
+                              std::numeric_limits<double>::min(), 1e300,
+                              kI64Max});
+}
+
+TEST(TrialSchema, DecodeConsumesExactlyTheListedFields) {
+  const auto codec = overhead_codec();
+  OverheadResult r;
+  EXPECT_TRUE(codec.decode("1 2 3 4 5", &r));
+  EXPECT_TRUE(codec.decode("1 2 3 4 5 \n", &r));   // trailing whitespace
+  EXPECT_FALSE(codec.decode("1 2 3 4 5 6", &r));   // stale: extra field
+  EXPECT_FALSE(codec.decode("1 2 3 4", &r));       // stale: field missing
+  EXPECT_FALSE(codec.decode("1 2 3 -4 5", &r));    // negative unsigned
+  EXPECT_FALSE(codec.decode("1 2 3 4 5x", &r));    // junk after a field
+  EXPECT_FALSE(codec.decode("9223372036854775808 2 3 4 5", &r));  // overflow
+  EXPECT_FALSE(codec.decode("0x1p+0 2 3 4 5", &r));  // double in an integer
+  EXPECT_FALSE(codec.decode("", &r));
+}
+
+// -- fields the hash once skipped no longer alias ----------------------------
+
+OverheadConfig fault_free() {
+  OverheadConfig c;
+  c.total_bytes = 4 * MiB;
+  c.user_partitions = 32;
+  c.iterations = 20;
+  c.options = part::Options::defaults();
+  return c;
+}
+
+OverheadConfig dropping() {
+  OverheadConfig c = fault_free();
+  c.world.faults.drop_rate = 0.3;
+  return c;
+}
+
+TEST(TrialSchema, FaultPlansGetDistinctFingerprints) {
+  OverheadConfig delayed = fault_free();
+  delayed.world.faults.delay_rate = 0.5;
+  const std::set<std::uint64_t> keys{fingerprint(fault_free()),
+                                     fingerprint(delayed),
+                                     fingerprint(dropping())};
+  EXPECT_EQ(keys.size(), 3u);
+}
+
+TEST(TrialSchema, ConnectionLimitsAndRetryBudgetEnterTheKey) {
+  ConnScaleConfig capped;
+  capped.world.conn_max_connections = 2;
+  EXPECT_NE(fingerprint(capped), fingerprint(ConnScaleConfig{}));
+
+  OverheadConfig impatient;
+  impatient.options.max_send_retries = 1;
+  EXPECT_NE(fingerprint(impatient), fingerprint(OverheadConfig{}));
+
+  // Elided fields are name-tagged: one value in two such fields differs.
+  ConnScaleConfig limited;
+  limited.world.conn_srq_limit = 2;
+  EXPECT_NE(fingerprint(limited), fingerprint(capped));
+}
+
+class TrialCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("partib-trial-test-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::filesystem::path dir_;
+};
+
+TEST_F(TrialCacheTest, FaultedTrialIsNotServedTheFaultFreeResult) {
+  runner::ResultCache cache(dir_.string());
+  runner::RunOptions opts;
+  opts.jobs = 1;
+  opts.cache = &cache;
+
+  runner::RunStats cold;
+  (void)run_overhead_grid({fault_free()}, opts, &cold);
+  EXPECT_EQ(cold.executed, 1u);
+
+  runner::RunStats faulted;
+  const auto got = run_overhead_grid({dropping()}, opts, &faulted);
+  EXPECT_EQ(faulted.cache_hits, 0u);
+  EXPECT_EQ(faulted.executed, 1u);
+  ASSERT_EQ(got.size(), 1u);
+  const auto codec = overhead_codec();
+  EXPECT_EQ(codec.encode(got[0]), codec.encode(run_overhead(dropping())));
+}
+
+}  // namespace
+}  // namespace partib::bench

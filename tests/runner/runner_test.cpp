@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "runner/fingerprint.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/runner.hpp"
@@ -187,6 +188,46 @@ TEST_F(RunnerCacheTest, SecondRunIsAllCacheHits) {
   EXPECT_EQ(warm.cache_hits, 20u);
   EXPECT_EQ(executions.load(), 20);  // nothing re-ran
   EXPECT_EQ(first, second);
+}
+
+struct Sample {
+  std::int64_t count = 0;
+  double mean = 0.0;
+};
+
+template <typename V, FieldsOf<Sample> S>
+void visit_fields(V&& v, S& s) {
+  v(s.count, s.mean);
+}
+
+TEST_F(RunnerCacheTest, PayloadWithAnExtraFieldIsReExecuted) {
+  const Codec<Sample> codec = fields_codec<Sample>();
+  const auto grid = make_grid(1);
+  auto trial = [](const TrialConfig& c) { return Sample{c.value + 1, 2.5}; };
+  ResultCache cache(dir_.string());
+  // A stale entry from when the result still carried a third field.
+  cache.store(config_fp(grid[0]), codec.encode(Sample{7, 0.5}) + " 9");
+
+  RunOptions opts;
+  opts.jobs = 1;
+  opts.cache = &cache;
+  RunStats stale;
+  const auto fresh =
+      run_trials<TrialConfig, Sample>(grid, trial, config_fp, codec, opts,
+                                       &stale);
+  EXPECT_EQ(stale.cache_hits, 0u);
+  EXPECT_EQ(stale.executed, 1u);
+  EXPECT_EQ(fresh[0].count, 1);
+  EXPECT_EQ(fresh[0].mean, 2.5);
+
+  // Re-execution replaced the entry, so the next run is served from it.
+  RunStats warm;
+  const auto cached =
+      run_trials<TrialConfig, Sample>(grid, trial, config_fp, codec, opts,
+                                       &warm);
+  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(cached[0].count, 1);
+  EXPECT_EQ(cached[0].mean, 2.5);
 }
 
 TEST_F(RunnerCacheTest, CorruptEntryFallsBackToExecution) {
