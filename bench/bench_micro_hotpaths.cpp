@@ -356,6 +356,57 @@ void BM_ConnSetupTeardown(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnSetupTeardown);
 
+void BM_IncastHandshake(benchmark::State& state) {
+  // Channel setup at the incast hot rank, no rounds: N shared-mode
+  // Psend_init/Precv_init pairs into rank 0 (N handshakes through rank
+  // 0's InitMatcher), then every sender establishes its connection the
+  // way its first post would — connect() with the receiver request as
+  // the accept token — and binds its chain, so rank 0 takes N slots and
+  // N router binds.  World construction and teardown are included.
+  const int peers = static_cast<int>(state.range(0));
+  // bench_incast's shared-mode channel: 16 KiB, 8 user partitions
+  // aggregated to 4 on one QP.
+  part::Options opts;
+  opts.aggregator = std::make_shared<agg::StaticAggregator>(4, 1);
+  opts.shared_resources = true;
+  std::vector<std::byte> buf(16 * KiB);
+  for (auto _ : state) {
+    sim::Engine engine;
+    mpi::WorldOptions wopts;
+    wopts.ranks = peers + 1;
+    wopts.copy_data = false;
+    mpi::World world(engine, wopts);
+    std::vector<std::unique_ptr<part::PsendRequest>> sends(
+        static_cast<std::size_t>(peers));
+    std::vector<std::unique_ptr<part::PrecvRequest>> recvs(sends.size());
+    for (int p = 0; p < peers; ++p) {
+      const auto i = static_cast<std::size_t>(p);
+      PARTIB_ASSERT(ok(part::psend_init(world.rank(p + 1), buf, 8, 0, p, 0,
+                                        opts, &sends[i])));
+      PARTIB_ASSERT(ok(part::precv_init(world.rank(0), buf, 8, p + 1, p, 0,
+                                        opts, &recvs[i])));
+    }
+    engine.run();  // handshakes and acks
+    for (int p = 0; p < peers; ++p) {
+      mpi::ConnectionManager& mgr = world.rank(p + 1).connections();
+      mgr.connect(0, /*qp_count=*/1,
+                  reinterpret_cast<std::uint64_t>(
+                      recvs[static_cast<std::size_t>(p)].get()),
+                  [&mgr](mpi::ConnectionManager::Connection& conn) {
+                    for (verbs::Qp* qp : conn.qps) {
+                      mgr.bind(qp->qp_num(), [](const verbs::Wc&) {});
+                    }
+                  });
+    }
+    engine.run();  // connection establishment
+    benchmark::DoNotOptimize(
+        world.rank(0).connections().established_connections());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          peers);
+}
+BENCHMARK(BM_IncastHandshake)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 void BM_QpLookup(benchmark::State& state) {
   // Device-wide qp_num -> Qp resolution (the per-delivery lookup a real
   // RDMA target performs per incoming packet stream).

@@ -1,9 +1,12 @@
 #include "mpi/conn.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "check/hooks.hpp"
 #include "common/assert.hpp"
+#include "common/bits.hpp"
 #include "mpi/world.hpp"
 
 namespace partib::mpi {
@@ -11,26 +14,48 @@ namespace partib::mpi {
 // ---------------------------------------------------------------------------
 // WcRouter
 
-void WcRouter::bind(std::uint32_t qp_num, Handler h) {
-  PARTIB_ASSERT_MSG(!draining_, "bind during drain would invalidate handlers");
-  PARTIB_ASSERT(qp_num >= verbs::Device::kFirstQpNum);
-  const std::size_t idx = qp_num - verbs::Device::kFirstQpNum;
-  if (idx >= handlers_.size()) handlers_.resize(idx + 1);
-  PARTIB_ASSERT_MSG(!handlers_[idx], "qp_num already bound");
-  handlers_[idx] = std::move(h);
-}
+namespace {
 
-void WcRouter::unbind(std::uint32_t qp_num) {
-  const std::size_t idx = qp_num - verbs::Device::kFirstQpNum;
-  if (qp_num >= verbs::Device::kFirstQpNum && idx < handlers_.size()) {
-    handlers_[idx] = nullptr;
+// A sender rank binds one chain of a few QPs; the hot rank grows from here.
+constexpr std::size_t kMinRoutes = 4;
+
+}  // namespace
+
+WcRouter::WcRouter()
+    : routes_(kMinRoutes), shift_(64 - log2_floor(kMinRoutes)) {}
+
+void WcRouter::grow() {
+  std::vector<Route> old =
+      std::exchange(routes_, std::vector<Route>(2 * routes_.size()));
+  shift_ = 64 - log2_floor(routes_.size());
+  for (Route& r : old) {
+    if (r.qp_num != 0) routes_[cell(r.qp_num)] = std::move(r);
   }
 }
 
+void WcRouter::bind(std::uint32_t qp_num, Handler h) {
+  PARTIB_ASSERT_MSG(!draining_, "bind during drain would invalidate handlers");
+  PARTIB_ASSERT(qp_num >= verbs::Device::kFirstQpNum);
+  std::size_t i = cell(qp_num);
+  if (routes_[i].qp_num == 0) {
+    if (2 * (keys_ + 1) > routes_.size()) {
+      grow();
+      i = cell(qp_num);
+    }
+    routes_[i].qp_num = qp_num;
+    ++keys_;
+  }
+  PARTIB_ASSERT_MSG(!routes_[i].handler, "qp_num already bound");
+  routes_[i].handler = std::move(h);
+}
+
+void WcRouter::unbind(std::uint32_t qp_num) {
+  // An empty cell's handler is already null.
+  routes_[cell(qp_num)].handler = nullptr;
+}
+
 bool WcRouter::bound(std::uint32_t qp_num) const {
-  const std::size_t idx = qp_num - verbs::Device::kFirstQpNum;
-  return qp_num >= verbs::Device::kFirstQpNum && idx < handlers_.size() &&
-         handlers_[idx] != nullptr;
+  return routes_[cell(qp_num)].handler != nullptr;
 }
 
 int WcRouter::drain(verbs::Cq& cq) {
@@ -38,13 +63,14 @@ int WcRouter::drain(verbs::Cq& cq) {
   draining_ = true;
   // Dispatch straight over the CQ ring instead of copying completions out
   // through poll(): one shared CQ aggregates many QPs' bursts, and the
-  // copy it saves pays for the per-Wc handler indirection
+  // copy it saves pays for the per-Wc hash and handler indirection
   // (BM_SharedCqDemux vs BM_CqPollBurst).  A handler may push into this
   // same CQ (e.g. a flush completion from re-posting to an errored
   // sibling); a push can grow the ring and relocate the run, so stop and
   // re-peek whenever the capacity changes.
-  const Handler* const handlers = handlers_.data();
-  const std::size_t bound = handlers_.size();
+  const Route* const routes = routes_.data();
+  const std::size_t mask = routes_.size() - 1;
+  const unsigned shift = shift_;
   int routed = 0;
   for (;;) {
     const std::span<const verbs::Wc> run = cq.peek_run();
@@ -53,14 +79,15 @@ int WcRouter::drain(verbs::Cq& cq) {
     std::size_t done = 0;
     while (done < run.size()) {
       const verbs::Wc& wc = run[done];
-      const std::size_t idx = wc.qp_num - verbs::Device::kFirstQpNum;
-      if (wc.qp_num < verbs::Device::kFirstQpNum || idx >= bound ||
-          !handlers[idx]) {
+      // A miss ends on an empty cell, whose handler is null.
+      const Handler& handler =
+          routes[probe(routes, mask, shift, wc.qp_num)].handler;
+      if (!handler) {
         PARTIB_CHECK_HOOK(on_conn_demux_miss(this, wc.qp_num));
         ++done;
         continue;
       }
-      handlers[idx](wc);
+      handler(wc);
       ++routed;
       ++done;
       if (cq.ring_capacity() != cap) break;
@@ -150,6 +177,7 @@ void ConnectionManager::release(ConnId id) {
   PARTIB_ASSERT(conn.leased);
   for (verbs::Qp* qp : conn.qps) router_.unbind(qp->qp_num());
   conn.leased = false;
+  if (!conn.established) free_slot(conn);
   touch(conn);
 }
 
@@ -190,9 +218,7 @@ void ConnectionManager::on_connect_request(
     PARTIB_ASSERT(ok(conn.qps[i]->to_rtr(qp_nums[i])));
     PARTIB_ASSERT(ok(conn.qps[i]->to_rts()));
   }
-  conn.established = true;
-  ++conn.stats.establishments;
-  ++total_establishments_;
+  mark_established(conn);
   touch(conn);
 
   std::vector<std::uint32_t> mine;
@@ -218,9 +244,7 @@ void ConnectionManager::on_connect_reply(
     PARTIB_ASSERT(ok(conn.qps[i]->to_rtr(qp_nums[i])));
     PARTIB_ASSERT(ok(conn.qps[i]->to_rts()));
   }
-  conn.established = true;
-  ++conn.stats.establishments;
-  ++total_establishments_;
+  mark_established(conn);
   touch(conn);
 
   auto it = pending_ready_.find(local);
@@ -241,28 +265,26 @@ void ConnectionManager::on_disconnect(ConnId local) {
       PARTIB_ASSERT(ok(qp->to_reset()));
     }
   }
-  conn.established = false;
-  conn.remote_id = kNilConn;
-}
-
-int ConnectionManager::established_connections() const {
-  int n = 0;
-  for (const auto& c : conns_) n += c->established ? 1 : 0;
-  return n;
+  mark_torn_down(conn);
+  if (!conn.leased) free_slot(conn);
 }
 
 ConnectionManager::Connection& ConnectionManager::acquire_slot(int peer,
                                                                int qp_count) {
-  // 1. Reuse a slot whose previous connection was already torn down.
-  for (auto& c : conns_) {
-    if (!c->established && !c->leased) {
-      prepare_qps(*c, qp_count);
-      return *c;
-    }
+  // 1. Reuse the lowest-id slot whose previous connection was already
+  //    torn down.  An entry is stale if its slot was re-established (a
+  //    reply landing after release) or taken since; skip it.
+  while (!free_slots_.empty()) {
+    std::pop_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
+    Connection& conn = connection(free_slots_.back());
+    free_slots_.pop_back();
+    if (conn.established || conn.leased) continue;
+    prepare_qps(conn, qp_count);
+    return conn;
   }
   // 2. At the cap: recycle the least-recently-used idle connection.
   const int cap = cfg_.max_connections;
-  if (cap > 0 && established_connections() >= cap) {
+  if (cap > 0 && established_ >= cap) {
     Connection* victim = nullptr;
     for (auto& c : conns_) {
       if (c->established && !c->leased &&
@@ -278,7 +300,7 @@ ConnectionManager::Connection& ConnectionManager::acquire_slot(int peer,
     // Every established connection is leased: a soft cap proceeds anyway
     // and the checker records the overshoot.
     PARTIB_CHECK_HOOK(
-        on_conn_over_cap(this, established_connections(), cap));
+        on_conn_over_cap(this, established_, cap));
   }
   // 3. Fresh slot.
   auto conn = std::make_unique<Connection>();
@@ -309,8 +331,7 @@ void ConnectionManager::recycle(Connection& conn) {
       PARTIB_ASSERT(ok(qp->to_reset()));
     }
   }
-  conn.established = false;
-  conn.remote_id = kNilConn;
+  mark_torn_down(conn);
   ++conn.stats.recycles;
   ++total_recycles_;
 }
@@ -375,6 +396,26 @@ void ConnectionManager::dispatch() {
   // so a quiet SRQ never sits below the reservation waiting for the limit
   // event.
   if (srq_.posted() < reserve_target_) refill_srq();
+}
+
+void ConnectionManager::mark_established(Connection& conn) {
+  PARTIB_ASSERT(!conn.established);
+  conn.established = true;
+  ++established_;
+  ++conn.stats.establishments;
+  ++total_establishments_;
+}
+
+void ConnectionManager::mark_torn_down(Connection& conn) {
+  PARTIB_ASSERT(conn.established);
+  conn.established = false;
+  conn.remote_id = kNilConn;
+  --established_;
+}
+
+void ConnectionManager::free_slot(Connection& conn) {
+  free_slots_.push_back(conn.id);
+  std::push_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
 }
 
 void ConnectionManager::touch(Connection& conn) {

@@ -11,9 +11,9 @@
 //
 //   * every QP the manager creates drains into the rank's single shared
 //     CQ and draws receive WRs from the rank's single SRQ;
-//   * completions are demultiplexed by wc.qp_num through a dense handler
-//     table (WcRouter) — one array load per CQE, preserving the PR 4
-//     allocation-free poll path;
+//   * completions are demultiplexed by wc.qp_num through a hash table
+//     sized by the rank's own QPs (WcRouter) — one hash and probe per
+//     CQE, preserving the allocation-free poll path;
 //   * QP chains are created lazily, on the first send toward a peer, and
 //     recycled LRU through the PR 5 ERROR→RESET→INIT→RTR→RTS machinery
 //     when the configured connection cap is hit.
@@ -52,14 +52,21 @@ struct ConnConfig {
   verbs::QpCaps qp_caps{};
 };
 
-/// Dense wc.qp_num -> handler table for shared-CQ demultiplexing.
-/// qp_nums are device-dense (verbs::Device::kFirstQpNum + index), so the
-/// route is a bounds check and one array load — the same cost model as
-/// Device::find_qp.  Standalone so BM_SharedCqDemux measures exactly the
-/// dispatch the manager runs.
+/// wc.qp_num -> handler table for shared-CQ demultiplexing.
+/// qp_nums are device-wide, so a rank's own QPs are a sparse subset of
+/// them; the table is open-addressed (linear probing, power-of-two size,
+/// load <= 1/2) on a multiplicative hash of qp_num with the handler
+/// stored inline, so it is sized by the QPs this rank binds and a route
+/// is one hash, usually one cell compare, and the handler call.
+/// The sim never destroys a QP, so unbind nulls the handler in place and
+/// a qp_num's cell is reused when it is bound again — no tombstones.
+/// Standalone so BM_SharedCqDemux measures exactly the dispatch the
+/// manager runs.
 class WcRouter {
  public:
   using Handler = std::function<void(const verbs::Wc&)>;
+
+  WcRouter();
 
   void bind(std::uint32_t qp_num, Handler h);
   void unbind(std::uint32_t qp_num);
@@ -71,8 +78,35 @@ class WcRouter {
   int drain(verbs::Cq& cq);
 
  private:
-  std::vector<Handler> handlers_;  // index == qp_num - kFirstQpNum
-  /// Guards against bind() growing handlers_ under drain's feet (the hot
+  /// `qp_num == 0` marks an empty cell (real qp_nums start at
+  /// verbs::Device::kFirstQpNum).
+  struct Route {
+    std::uint32_t qp_num = 0;
+    Handler handler;
+  };
+
+  /// Index of the cell keyed `qp_num`, or of the empty cell ending its
+  /// probe run.  Multiplicative hashing: a rank's qp_nums come in strides
+  /// set by how the other ranks' QP creations interleave with its own,
+  /// which would pile up on the low bits alone.
+  static std::size_t probe(const Route* routes, std::size_t mask,
+                           unsigned shift, std::uint32_t qp_num) {
+    auto i = static_cast<std::size_t>((qp_num * 0x9E3779B97F4A7C15ULL) >>
+                                      shift);
+    while (routes[i].qp_num != qp_num && routes[i].qp_num != 0) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  std::size_t cell(std::uint32_t qp_num) const {
+    return probe(routes_.data(), routes_.size() - 1, shift_, qp_num);
+  }
+  void grow();
+
+  std::vector<Route> routes_;
+  unsigned shift_ = 0;  ///< 64 - log2(routes_.size())
+  std::size_t keys_ = 0;
+  /// Guards against bind() rehashing routes_ under drain's feet (the hot
   /// loop calls through a reference into the table).
   bool draining_ = false;
 };
@@ -159,7 +193,7 @@ class ConnectionManager {
   void on_disconnect(ConnId local);
 
   // -- introspection ---------------------------------------------------------
-  int established_connections() const;
+  int established_connections() const { return established_; }
   std::size_t slot_count() const { return conns_.size(); }
   std::uint64_t total_establishments() const { return total_establishments_; }
   std::uint64_t total_recycles() const { return total_recycles_; }
@@ -168,9 +202,9 @@ class ConnectionManager {
   const ConnConfig& config() const { return cfg_; }
 
  private:
-  /// Find or make a free slot: an unestablished one, else the LRU
-  /// established+unleased victim (recycled through RESET), else — over
-  /// cap, rule conn.cap — a fresh slot.
+  /// Find or make a free slot: the lowest-id unestablished unleased one,
+  /// else the LRU established+unleased victim (recycled through RESET),
+  /// else — over cap, rule conn.cap — a fresh slot.
   Connection& acquire_slot(int peer, int qp_count);
   void recycle(Connection& conn);
   /// Bring conn.qps to exactly `qp_count` chain members in INIT.
@@ -180,6 +214,10 @@ class ConnectionManager {
   void schedule_dispatch();
   void dispatch();
   void touch(Connection& conn);
+  void mark_established(Connection& conn);
+  void mark_torn_down(Connection& conn);
+  /// `conn` just became unestablished and unleased: offer it for reuse.
+  void free_slot(Connection& conn);
 
   Rank& rank_;
   ConnConfig cfg_;
@@ -187,6 +225,10 @@ class ConnectionManager {
   verbs::Srq& srq_;
   WcRouter router_;
   std::vector<std::unique_ptr<Connection>> conns_;
+  /// Min-heap of slot ids, pushed whenever a slot becomes unestablished
+  /// and unleased; acquire_slot pops the lowest still-free one.
+  std::vector<ConnId> free_slots_;
+  int established_ = 0;
   std::map<std::uint64_t, Ready> expected_;
   std::map<ConnId, Ready> pending_ready_;
   std::uint64_t use_clock_ = 0;

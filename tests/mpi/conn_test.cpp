@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "check/check.hpp"
@@ -15,6 +16,18 @@
 
 namespace partib::mpi {
 namespace {
+
+/// established_connections() is a counter; it must equal a scan of the
+/// slots' established flags.
+int scan_established(ConnectionManager& mgr) {
+  int n = 0;
+  for (std::size_t id = 0; id < mgr.slot_count(); ++id) {
+    n += mgr.connection(static_cast<ConnectionManager::ConnId>(id)).established
+             ? 1
+             : 0;
+  }
+  return n;
+}
 
 struct Fx {
   sim::Engine engine;
@@ -209,6 +222,180 @@ TEST(ConnManagerDemux, CompletionsAreDispatchedFromTheSharedCq) {
   fx.engine.run();  // the on-push dispatch event drains the batch
   ASSERT_EQ(seen.size(), 40u);
   for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(seen[i], i);
+}
+
+
+TEST(ConnManagerRouter, SparseQpNumsBindUnbindRebind) {
+  // Device-wide qp_nums: a rank binds a sparse subset of them, anywhere in
+  // the 32-bit space.
+  WcRouter router;
+  const std::uint32_t nums[] = {verbs::Device::kFirstQpNum, 1u << 20,
+                                std::numeric_limits<std::uint32_t>::max() - 1,
+                                std::numeric_limits<std::uint32_t>::max()};
+  std::vector<int> hits(4, 0);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(router.bound(nums[i]));
+    router.bind(nums[i], [&hits, i](const verbs::Wc&) { ++hits[i]; });
+    EXPECT_TRUE(router.bound(nums[i]));
+  }
+  EXPECT_FALSE(router.bound((1u << 20) + 1));
+  EXPECT_FALSE(router.bound(verbs::Device::kFirstQpNum + 1));
+
+  router.unbind(nums[1]);
+  EXPECT_FALSE(router.bound(nums[1]));
+  EXPECT_TRUE(router.bound(nums[0]));
+  EXPECT_TRUE(router.bound(nums[2]));
+  router.unbind(nums[1]);  // idempotent
+  router.unbind(12345);    // never bound: a no-op
+
+  // Rebinding the same qp_num installs the new handler.
+  int rebound = 0;
+  router.bind(nums[1], [&rebound](const verbs::Wc&) { ++rebound; });
+  EXPECT_TRUE(router.bound(nums[1]));
+
+  verbs::Cq cq(64);
+  for (const std::uint32_t n : nums) {
+    verbs::Wc wc;
+    wc.qp_num = n;
+    cq.push(wc);
+  }
+  EXPECT_EQ(router.drain(cq), 4);
+  EXPECT_EQ(hits, (std::vector<int>{1, 0, 1, 1}));
+  EXPECT_EQ(rebound, 1);
+}
+
+TEST(ConnManagerRouter, GrowsAcrossManyBindsAndRoutesEveryWc) {
+  // Strided, interleaved qp_nums (other ranks' QPs sit in the gaps) and
+  // enough of them to grow the table several times; every third is
+  // unbound again, leaving bound keys whose probe runs cross unbound
+  // cells.  Every Wc must reach its own handler, unbound ones must drop.
+  check::reset();
+  WcRouter router;
+  std::vector<std::uint32_t> nums;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    nums.push_back(verbs::Device::kFirstQpNum + i * 4096 + (i % 7));
+  }
+  std::vector<int> hits(nums.size(), 0);
+  for (std::size_t i = 0; i < nums.size(); ++i) {
+    router.bind(nums[i], [&hits, i](const verbs::Wc& wc) {
+      EXPECT_EQ(wc.wr_id, i);
+      ++hits[i];
+    });
+  }
+  for (std::size_t i = 0; i < nums.size(); i += 3) router.unbind(nums[i]);
+  for (std::size_t i = 0; i < nums.size(); ++i) {
+    EXPECT_EQ(router.bound(nums[i]), i % 3 != 0) << i;
+  }
+  EXPECT_FALSE(router.bound(verbs::Device::kFirstQpNum + 1));
+
+  check::ScopedPolicy quiet(check::Policy::kCount);
+  verbs::Cq cq(8192);
+  for (std::size_t i = 0; i < nums.size(); ++i) {
+    verbs::Wc wc;
+    wc.wr_id = i;
+    wc.qp_num = nums[i];
+    cq.push(wc);
+  }
+  verbs::Wc stray;
+  stray.qp_num = verbs::Device::kFirstQpNum + 4095;
+  cq.push(stray);
+  EXPECT_EQ(router.drain(cq), static_cast<int>(nums.size() * 2 / 3));
+  for (std::size_t i = 0; i < nums.size(); ++i) {
+    EXPECT_EQ(hits[i], i % 3 != 0 ? 1 : 0) << i;
+  }
+  if (check::hooks_compiled_in()) {
+    EXPECT_EQ(check::count_rule("conn.demux"), nums.size() / 3 + 1);
+  }
+}
+
+TEST(ConnManagerRouterDeathTest, BindDuringDrainAsserts) {
+  WcRouter router;
+  verbs::Cq cq(64);
+  router.bind(verbs::Device::kFirstQpNum, [&router](const verbs::Wc&) {
+    router.bind(verbs::Device::kFirstQpNum + 1, [](const verbs::Wc&) {});
+  });
+  verbs::Wc wc;
+  wc.qp_num = verbs::Device::kFirstQpNum;
+  cq.push(wc);
+  EXPECT_DEATH(router.drain(cq), "bind during drain");
+}
+
+TEST(ConnManagerSlots, TornDownSlotsAreReusedLowestIdFirst) {
+  Fx fx(/*ranks=*/6);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  for (int peer = 1; peer <= 5; ++peer) {
+    EXPECT_EQ(fx.establish(0, peer, static_cast<std::uint64_t>(peer)),
+              peer - 1);
+  }
+  EXPECT_EQ(mgr.established_connections(), 5);
+  // Tear down slot 3, then slot 1 (the peer's disconnect notification).
+  for (const ConnectionManager::ConnId id : {3, 1}) {
+    mgr.release(id);
+    mgr.on_disconnect(id);
+    EXPECT_EQ(mgr.established_connections(), scan_established(mgr));
+  }
+  EXPECT_EQ(mgr.established_connections(), 3);
+  EXPECT_EQ(fx.establish(0, 2, 102), 1);
+  EXPECT_EQ(fx.establish(0, 4, 104), 3);
+  EXPECT_EQ(fx.establish(0, 5, 105), 5);  // none free: a fresh slot
+  EXPECT_EQ(mgr.slot_count(), 6u);
+  EXPECT_EQ(mgr.established_connections(), 6);
+  EXPECT_EQ(mgr.established_connections(), scan_established(mgr));
+  EXPECT_EQ(mgr.total_recycles(), 0u);
+}
+
+TEST(ConnManagerSlots, LeasedTornDownSlotIsFreedOnRelease) {
+  Fx fx(/*ranks=*/4);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  fx.establish(0, 1, 1);
+  fx.establish(0, 2, 2);
+  mgr.on_disconnect(0);  // still leased: not reusable yet
+  EXPECT_EQ(mgr.established_connections(), 1);
+  EXPECT_EQ(fx.establish(0, 3, 3), 2);
+  mgr.release(0);
+  EXPECT_EQ(fx.establish(0, 3, 4), 0);
+  EXPECT_EQ(mgr.established_connections(), scan_established(mgr));
+}
+
+TEST(ConnManagerSlots, ReplyAfterReleaseKeepsTheSlotOutOfReuse) {
+  // The active side drops its lease before the connect reply lands: the
+  // slot is offered for reuse, then established by the reply.  It is warm
+  // now, not free, so the next connect takes a fresh slot.
+  Fx fx(/*ranks=*/3);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  fx.world->rank(1).connections().expect(
+      1, [](ConnectionManager::Connection&) {});
+  const auto id =
+      mgr.connect(1, 2, 1, [](ConnectionManager::Connection&) {});
+  mgr.release(id);
+  fx.engine.run();
+  EXPECT_TRUE(mgr.connection(id).established);
+  EXPECT_EQ(fx.establish(0, 2, 2), id + 1);
+  EXPECT_EQ(mgr.established_connections(), 2);
+  EXPECT_EQ(mgr.established_connections(), scan_established(mgr));
+}
+
+TEST(ConnManagerSlots, LruVictimAtTheCapFollowsLastUse) {
+  Fx fx(/*ranks=*/7, /*cap=*/3);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  for (int peer = 1; peer <= 3; ++peer) {
+    fx.establish(0, peer, static_cast<std::uint64_t>(peer));
+  }
+  // Release order sets the LRU order: slot 1 oldest, then 0, then 2.
+  mgr.release(1);
+  mgr.release(0);
+  mgr.release(2);
+  std::vector<ConnectionManager::ConnId> victims;
+  for (int peer = 4; peer <= 6; ++peer) {
+    const auto id = fx.establish(0, peer, static_cast<std::uint64_t>(peer));
+    victims.push_back(id);
+    EXPECT_EQ(mgr.connection(id).peer, peer);
+    EXPECT_EQ(mgr.established_connections(), 3);
+    EXPECT_EQ(mgr.established_connections(), scan_established(mgr));
+  }
+  EXPECT_EQ(victims, (std::vector<ConnectionManager::ConnId>{1, 0, 2}));
+  EXPECT_EQ(mgr.total_recycles(), 3u);
+  EXPECT_EQ(mgr.slot_count(), 3u);
 }
 
 }  // namespace

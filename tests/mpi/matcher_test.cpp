@@ -1,7 +1,9 @@
 // Ordered matching of Psend_init/Precv_init pairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,6 +19,50 @@ SendInit init_for(int peer, int tag, int comm, std::size_t bytes = 64) {
   si.key = MatchKey{peer, tag, comm};
   si.total_bytes = bytes;
   return si;
+}
+
+/// Runs one scripted schedule through the matcher and the map/deque
+/// reference side by side.  Recvs are stamped with their posting index and
+/// sends with a unique total_bytes, so a match event is the pair
+/// (recv index, send stamp); the two event logs must be equal.
+struct Differential {
+  InitMatcher m;
+  test::ReferenceInitMatcher ref;
+  std::vector<std::string> got, want;
+  std::size_t next_recv = 0;
+  std::size_t next_bytes = 1;
+
+  void recv(const MatchKey& key) {
+    const std::size_t r = next_recv++;
+    m.post_recv_init(key, [this, r](const SendInit& si) {
+      got.push_back(std::to_string(r) + ":" + std::to_string(si.total_bytes));
+    });
+    ref.post_recv_init(key, [this, r](const SendInit& si) {
+      want.push_back(std::to_string(r) + ":" + std::to_string(si.total_bytes));
+    });
+  }
+  void send(const MatchKey& key) {
+    const SendInit si = init_for(key.peer, key.tag, key.comm_id, next_bytes++);
+    m.on_send_init(si);
+    ref.on_send_init(si);
+  }
+  void expect_same() const {
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(m.pending_recvs(), ref.pending_recvs());
+    ASSERT_EQ(m.unexpected_sends(), ref.unexpected_sends());
+  }
+};
+
+enum class Order { kPosted, kReversed, kShuffled };
+
+std::vector<std::size_t> delivery(std::size_t n, Order order) {
+  std::vector<std::size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  if (order == Order::kReversed) std::reverse(idx.begin(), idx.end());
+  if (order == Order::kShuffled) {
+    std::shuffle(idx.begin(), idx.end(), std::mt19937(4096));
+  }
+  return idx;
 }
 
 TEST(Matcher, RecvFirstThenSend) {
@@ -107,42 +153,140 @@ TEST(Matcher, InterleavedKeysStaySeparate) {
 }
 
 TEST(Matcher, DifferentialFuzzAgainstMapDequeReference) {
-  // The flat-vector matcher must produce exactly the match sequence of the
-  // seed's map/deque implementation (tests/support/reference_matcher.hpp):
-  // same pairings, in the same order, for any interleaving of posts.
-  // Each recv is stamped with a posting index and each send with a unique
-  // total_bytes, so a match event is the pair (recv index, send stamp).
+  // The matcher must produce exactly the match sequence of the seed's
+  // map/deque implementation (tests/support/reference_matcher.hpp): same
+  // pairings, in the same order, for any interleaving of posts.
   std::mt19937 rng(424242);
   for (int iter = 0; iter < 200; ++iter) {
-    InitMatcher m;
-    test::ReferenceInitMatcher ref;
-    std::vector<std::string> got, want;
-    std::size_t next_recv = 0;
-    std::size_t next_bytes = 1;
+    Differential d;
     const int ops = 20 + static_cast<int>(rng() % 60);
     for (int op = 0; op < ops; ++op) {
       const MatchKey key{static_cast<int>(rng() % 3),
                          static_cast<int>(rng() % 3), 0};
       if (rng() % 2 == 0) {
-        const std::size_t r = next_recv++;
-        m.post_recv_init(key, [&got, r](const SendInit& si) {
-          got.push_back(std::to_string(r) + ":" +
-                        std::to_string(si.total_bytes));
-        });
-        ref.post_recv_init(key, [&want, r](const SendInit& si) {
-          want.push_back(std::to_string(r) + ":" +
-                         std::to_string(si.total_bytes));
-        });
+        d.recv(key);
       } else {
-        const SendInit si = init_for(key.peer, key.tag, key.comm_id,
-                                     next_bytes++);
-        m.on_send_init(si);
-        ref.on_send_init(si);
+        d.send(key);
       }
-      ASSERT_EQ(got, want) << "iter " << iter << " op " << op;
-      ASSERT_EQ(m.pending_recvs(), ref.pending_recvs());
-      ASSERT_EQ(m.unexpected_sends(), ref.unexpected_sends());
+      SCOPED_TRACE(testing::Message() << "iter " << iter << " op " << op);
+      d.expect_same();
+      if (HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(Matcher, HotRankScaleMatchesReferenceInEveryDeliveryOrder) {
+  // The incast hot rank: 4096 distinct (peer, tag) keys, one channel each.
+  // Recv-first posts every Precv_init and then delivers the handshakes;
+  // send-first delivers the handshakes and then posts.  Either way the
+  // second side arrives in posted, reversed or shuffled order.
+  constexpr std::size_t kKeys = 4096;
+  std::vector<MatchKey> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(MatchKey{static_cast<int>(i + 1), static_cast<int>(i), 0});
+  }
+  for (const bool recv_first : {true, false}) {
+    for (const Order order :
+         {Order::kPosted, Order::kReversed, Order::kShuffled}) {
+      SCOPED_TRACE(testing::Message() << "recv_first=" << recv_first
+                                      << " order=" << static_cast<int>(order));
+      Differential d;
+      for (const MatchKey& k : keys) {
+        if (recv_first) {
+          d.recv(k);
+        } else {
+          d.send(k);
+        }
+      }
+      EXPECT_EQ(recv_first ? d.m.pending_recvs() : d.m.unexpected_sends(),
+                kKeys);
+      for (const std::size_t i : delivery(kKeys, order)) {
+        if (recv_first) {
+          d.send(keys[i]);
+        } else {
+          d.recv(keys[i]);
+        }
+      }
+      d.expect_same();
+      EXPECT_EQ(d.got.size(), kKeys);
+      EXPECT_EQ(d.m.pending_recvs(), 0u);
+      EXPECT_EQ(d.m.unexpected_sends(), 0u);
+    }
+  }
+}
+
+TEST(Matcher, RepeatedKeysDrainFifoAtScale) {
+  // Several entries per key, interleaved across keys: each key's entries
+  // must drain in posted order however the keys' arrivals interleave.
+  constexpr int kKeys = 512;
+  constexpr int kPerKey = 6;
+  for (const bool recv_first : {true, false}) {
+    for (const Order order :
+         {Order::kPosted, Order::kReversed, Order::kShuffled}) {
+      SCOPED_TRACE(testing::Message() << "recv_first=" << recv_first
+                                      << " order=" << static_cast<int>(order));
+      Differential d;
+      std::vector<MatchKey> posts;
+      for (int rep = 0; rep < kPerKey; ++rep) {
+        for (int k = 0; k < kKeys; ++k) posts.push_back(MatchKey{k, 7, 1});
+      }
+      for (const MatchKey& k : posts) {
+        if (recv_first) {
+          d.recv(k);
+        } else {
+          d.send(k);
+        }
+      }
+      for (const std::size_t i : delivery(posts.size(), order)) {
+        if (recv_first) {
+          d.send(posts[i]);
+        } else {
+          d.recv(posts[i]);
+        }
+      }
+      d.expect_same();
+      EXPECT_EQ(d.got.size(), posts.size());
+    }
+  }
+}
+
+TEST(Matcher, SameKeyManyDeepDrainsFifo) {
+  // One key, many entries queued on each side in turn.
+  InitMatcher m;
+  std::vector<std::size_t> matched;
+  for (std::size_t b = 1; b <= 100; ++b) m.on_send_init(init_for(2, 3, 4, b));
+  for (int i = 0; i < 150; ++i) {
+    m.post_recv_init(MatchKey{2, 3, 4}, [&](const SendInit& si) {
+      matched.push_back(si.total_bytes);
+    });
+  }
+  EXPECT_EQ(m.unexpected_sends(), 0u);
+  EXPECT_EQ(m.pending_recvs(), 50u);
+  for (std::size_t b = 101; b <= 150; ++b) m.on_send_init(init_for(2, 3, 4, b));
+  std::vector<std::size_t> want(150);
+  std::iota(want.begin(), want.end(), std::size_t{1});
+  EXPECT_EQ(matched, want);
+  EXPECT_EQ(m.pending_recvs(), 0u);
+}
+
+TEST(Matcher, WideKeyFuzzAgainstMapDequeReference) {
+  // Many live keys at once with queues on both sides coming and going:
+  // exercises table growth, chain reuse of freed entries and erasure from
+  // the middle of probe runs.
+  std::mt19937 rng(777);
+  for (int iter = 0; iter < 20; ++iter) {
+    Differential d;
+    for (int op = 0; op < 4000; ++op) {
+      const MatchKey key{static_cast<int>(rng() % 64),
+                         static_cast<int>(rng() % 16),
+                         static_cast<int>(rng() % 2)};
+      if (rng() % 2 == 0) {
+        d.recv(key);
+      } else {
+        d.send(key);
+      }
+    }
+    d.expect_same();
   }
 }
 

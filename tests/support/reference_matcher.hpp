@@ -1,5 +1,5 @@
 // Verbatim copy of the seed's map/deque InitMatcher, kept as the
-// differential-test oracle for mpi::InitMatcher's flat-vector rewrite.
+// differential-test oracle for mpi::InitMatcher's per-key FIFO chains.
 // Do not "improve" this file: its value is that it is byte-for-byte the
 // algorithm the figure fingerprints were first recorded against.
 #pragma once
@@ -15,7 +15,7 @@ namespace partib::test {
 
 /// The pre-rewrite matcher: one std::map of per-key std::deques per side.
 /// Drain order per key is posted order (deque FIFO), which is exactly the
-/// invariant the rewrite's front-to-back vector scan must reproduce.
+/// invariant the rewrite's per-key chains must reproduce.
 class ReferenceInitMatcher {
  public:
   using OnMatch = mpi::InitMatcher::OnMatch;
