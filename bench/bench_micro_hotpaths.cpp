@@ -78,6 +78,60 @@ void BM_EngineCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancel);
 
+// The engine traffic sweep3d generates: `pending` events at distinct
+// future times, where every dispatch schedules one event and cancels and
+// re-arms another, the way ProcessorSharingCpu::reschedule_completion
+// moves a CPU's completion when a job arrives.
+class DistinctChurn {
+ public:
+  explicit DistinctChurn(std::size_t pending) : timers_(pending) {
+    for (std::size_t lane = 0; lane < pending; ++lane) arm(lane);
+  }
+
+  std::size_t run(std::size_t dispatches) {
+    budget_ = dispatches;
+    return engine_.run();
+  }
+
+ private:
+  Duration next_delay() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return static_cast<Duration>(1 + x_ % 65536);
+  }
+
+  void arm(std::size_t lane) {
+    timers_[lane] =
+        engine_.schedule_after(next_delay(), [this, lane] { fire(lane); });
+  }
+
+  void fire(std::size_t lane) {
+    if (budget_ == 0) return;
+    --budget_;
+    arm(lane);
+    const std::size_t other = x_ % timers_.size();
+    if (engine_.cancel(timers_[other])) arm(other);
+  }
+
+  sim::Engine engine_;
+  std::vector<sim::Engine::EventId> timers_;
+  std::uint64_t x_ = 0x9E3779B97F4A7C15ULL;
+  std::size_t budget_ = 0;
+};
+
+void BM_EngineDistinctChurn(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDispatches = 16384;
+  for (auto _ : state) {
+    DistinctChurn churn(pending);
+    benchmark::DoNotOptimize(churn.run(kDispatches));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kDispatches));
+}
+BENCHMARK(BM_EngineDistinctChurn)->Arg(256);
+
 void BM_FifoResource(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

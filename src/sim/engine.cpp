@@ -1,11 +1,15 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/diag.hpp"
 
 namespace partib::sim {
+
+namespace {
+constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+}  // namespace
 
 Engine::~Engine() {
   // When every callback ever scheduled was trivially destructible (the
@@ -23,50 +27,25 @@ void Engine::grow_slots() {
   const std::size_t cap = slabs_.size() * kSlabSize;
   slot_seq_.resize(cap);
   slot_next_.resize(cap);
+  slot_time_.resize(cap);
 }
 
-void Engine::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
-  for (;;) {
-    const std::size_t first = i * kHeapArity + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kHeapArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (heap_[c].time < heap_[best].time) best = c;
+void Engine::refile_bucket(unsigned b) {
+  // Detach the whole list first: file() may append to bucket b itself
+  // (compaction), and the walk below must see only the old entries.
+  std::uint32_t s = buckets_[b].head;
+  buckets_[b].head = kNil;
+  occupied_ &= ~(std::uint64_t{1} << b);
+  while (s != kNil) {
+    const std::uint32_t next = slot_next_[s];
+    if (slot_seq_[s] == 0) {
+      free_slots_.push_back(s);
+      --dead_;
+    } else {
+      file(s, slot_time_[s]);
     }
-    if (heap_[best].time >= e.time) break;
-    heap_[i] = heap_[best];
-    i = best;
+    s = next;
   }
-  heap_[i] = e;
-}
-
-void Engine::pop_heap_top() {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    sift_down(0);
-  }
-}
-
-void Engine::rehash(std::size_t capacity) {
-  std::vector<TimeCell> old = std::move(hash_);
-  hash_.assign(capacity, TimeCell{0, kNil, kCellEmpty});
-  hash_mask_ = capacity - 1;
-  // The heap holds exactly the live timestamps, so re-anchoring its
-  // entries both refills the new table (no tombstones survive) and fixes
-  // every entry's cell index in one pass.
-  for (HeapEntry& e : heap_) {
-    const TimeCell cell = old[e.cell];
-    std::size_t i = hash_time(e.time) & hash_mask_;
-    while (hash_[i].tail != kCellEmpty) i = (i + 1) & hash_mask_;
-    hash_[i] = cell;
-    e.cell = static_cast<std::uint32_t>(i);
-  }
-  hash_used_ = heap_.size();
 }
 
 Engine::EventId Engine::schedule_at(Time t, Callback cb, const char* site) {
@@ -105,50 +84,22 @@ bool Engine::cancel(EventId id) {
 }
 
 void Engine::compact() {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    TimeCell& cell = hash_[heap_[i].cell];
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    for (std::uint32_t s = cell.head; s != kNil;) {
-      const std::uint32_t next = slot_next_[s];
-      if (slot_seq_[s] == 0) {
-        free_slots_.push_back(s);
-      } else {
-        if (head == kNil) {
-          head = s;
-        } else {
-          slot_next_[tail] = s;
-        }
-        tail = s;
-      }
-      s = next;
-    }
-    if (tail != kNil) slot_next_[tail] = kNil;
-    cell.head = head;
-    if (head == kNil) {
-      cell.tail = kCellTomb;
-    } else {
-      cell.tail = tail;
-      heap_[kept++] = heap_[i];
-    }
+  // Every live entry refiles into the bucket it came from (`last_` is
+  // unchanged), so order is kept and each bucket's minimum becomes exact.
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    if (buckets_[b].head != kNil) refile_bucket(b);
   }
-  heap_.resize(kept);
-  if (kept > 1) {
-    for (std::size_t i = (kept - 2) / kHeapArity + 1; i-- > 0;) sift_down(i);
-  }
-  dead_ = 0;
 }
 
 bool Engine::step() {
-  if (!settle_top()) return false;
+  if (!settle(kMaxTime)) return false;
   dispatch_front();
   return true;
 }
 
 std::size_t Engine::run() {
   std::size_t n = 0;
-  while (settle_top()) {
+  while (settle(kMaxTime)) {
     dispatch_front();
     ++n;
   }
@@ -158,7 +109,7 @@ std::size_t Engine::run() {
 std::size_t Engine::run_until(Time deadline) {
   PARTIB_ASSERT_MSG(deadline >= now_, "deadline in the past");
   std::size_t n = 0;
-  while (settle_top() && heap_[0].time <= deadline) {
+  while (settle(deadline)) {
     dispatch_front();
     ++n;
   }

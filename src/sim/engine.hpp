@@ -9,22 +9,26 @@
 //
 // Hot-path layout (see docs/PERF.md): pending events live in a slot table
 // of `common::InlineFn<void()>` callbacks — move-only, 48-byte inline
-// buffer, so typical capture sets never touch the allocator.  Slots are
-// chained into per-timestamp FIFO buckets (intrusive singly-linked lists
-// through the slot table), and an indexed 4-ary min-heap orders the
-// distinct pending timestamps.  FIFO order within a bucket *is* sequence
-// order, so dispatch order is exactly `(time, seq)` — byte-identical to
-// the original `std::map<(time, seq), Event>` implementation (proven by
-// tests/sim/engine_differential_test.cpp) — while DES workloads' heavy
-// timestamp reuse (zero-delay chains, simultaneous completions) turns
-// most queue operations into O(1) list appends/pops instead of O(log n)
-// tree rebalances.  `cancel` is O(1) lazy: the slot's seq doubles as its
-// generation; cancelling retires the generation and the dead list entry
-// is discarded when it surfaces (with an amortized compaction pass so
-// cancel-heavy workloads cannot grow the queue without bound).
+// buffer, so typical capture sets never touch the allocator.  The queue
+// is a monotone radix heap: nothing is ever scheduled below the last key
+// popped (`last_`), so an event with key t is filed in bucket
+// bit_width(t ^ last_), an intrusive FIFO through the slot table.  Bucket
+// 0 holds exactly the events at `last_`; when it runs dry the lowest
+// non-empty bucket is split at its minimum, which relinks its entries in
+// order into strictly lower buckets.  Equal keys always share a bucket
+// and keep schedule order, so dispatch order is exactly `(time, seq)` —
+// byte-identical to the original `std::map<(time, seq), Event>`
+// implementation (proven by tests/sim/engine_differential_test.cpp) —
+// with O(1) schedule and amortized O(log(key spread)) dispatch, no hash
+// table and no comparison heap.  `cancel` is O(1) lazy: the slot's seq
+// doubles as its generation; cancelling retires the generation and the
+// dead list entry is discarded when it surfaces (with an amortized
+// compaction pass so cancel-heavy workloads cannot grow the queue
+// without bound).
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,7 +38,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/bits.hpp"
 #include "common/inline_fn.hpp"
 #include "common/time.hpp"
 
@@ -138,114 +141,99 @@ class Engine {
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// One heap entry per *distinct pending timestamp*; `time` is unique
-  /// within the heap, so sift comparisons are a single integer compare.
-  /// `cell` indexes the hash cell holding that timestamp's FIFO (cells
-  /// only move on rehash, which re-anchors every heap entry).
-  struct HeapEntry {
-    Time time;
-    std::uint32_t cell;
-  };
+  /// Keys are non-negative Times, so `t ^ last_` < 2^63 and its bit width
+  /// (the bucket index) is at most 63.
+  static constexpr unsigned kBuckets = 64;
 
   /// Event payload: exactly one cache line (56-byte InlineFn + site
   /// tag).  The queue-structure fields that other events' operations
-  /// touch — the FIFO link and the generation — live in dense parallel
-  /// arrays (slot_next_, slot_seq_) instead: appending behind 1000
-  /// other events then reads a 4-byte entry in a packed array, not a
-  /// cold 64-byte slot.
+  /// touch — the FIFO link, the generation and the key — live in dense
+  /// parallel arrays (slot_next_, slot_seq_, slot_time_) instead: filing
+  /// or splitting past other events then reads packed arrays, not cold
+  /// 64-byte slots.
   struct Slot {
     Callback cb;
     const char* site = nullptr;
   };
 
-  // Cell state is packed into `tail` (a live bucket's tail is always a
-  // real slot index) so a cell stays 16 bytes — the open-addressing map
-  // cell IS the per-timestamp FIFO bucket, one random access instead of
-  // two on every schedule/dispatch.
-  static constexpr std::uint32_t kCellEmpty = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kCellTomb = 0xFFFFFFFEu;
-
-  /// Hash cell (linear probing, power-of-two capacity, tombstone
-  /// deletion) holding one pending timestamp's FIFO of events, linked
-  /// through Slot::next.  `head == kNil` with a live tail means the
-  /// bucket is exhausted but still registered (events may still land on
-  /// this timestamp before settle_top() retires it).
-  struct TimeCell {
-    Time time;
-    std::uint32_t head;
-    std::uint32_t tail;  // kCellEmpty / kCellTomb encode the map state
+  /// One radix bucket: a FIFO of slots linked through slot_next_, plus
+  /// the smallest key filed in it since it was last empty.  Cancel does
+  /// not raise `min`, so it is a lower bound on the bucket's live keys
+  /// (and exact once dead entries are gone).  A bucket is empty iff
+  /// `head == kNil`; `tail` is only meaningful while it is not.
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    Time min = 0;
   };
 
   // Slots live in fixed-size raw slabs, not one contiguous vector:
   // growth never moves existing slots (a vector realloc would run the
-  // InlineFn move per 96-byte slot), addresses stay stable for the
+  // InlineFn move per 64-byte slot), addresses stay stable for the
   // lifetime of the engine, and slots are constructed lazily on first
   // use so a short-lived engine touches only the slots it needs.
   static constexpr std::uint32_t kSlabBits = 10;
   static constexpr std::uint32_t kSlabSize = 1u << kSlabBits;
 
   Time now_ = 0;
+  Time last_ = 0;  // radix base: the last key popped, <= every pending key
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet dispatched or cancelled
   std::size_t dead_ = 0;  // cancelled tombstones still linked in buckets
-  std::vector<HeapEntry> heap_;
+  std::array<Bucket, kBuckets> buckets_{};
+  // Bit b set iff bucket b is non-empty; bit 0 may lag a dispatch that
+  // emptied bucket 0 until the next settle() clears it.
+  std::uint64_t occupied_ = 0;
   std::vector<Slot*> slabs_;     // uninitialized past slot_count_
   std::uint32_t slot_count_ = 0;  // slots constructed so far, ever
   std::vector<std::uint64_t> slot_seq_;   // generation; 0 = dead slot
   std::vector<std::uint32_t> slot_next_;  // FIFO link within a bucket
+  std::vector<Time> slot_time_;           // the slot's key
   std::vector<std::uint32_t> free_slots_;
   bool nontrivial_cb_ = false;  // any pending cb may need a destructor
-  std::vector<TimeCell> hash_;
-  std::size_t hash_mask_ = 0;
-  std::size_t hash_used_ = 0;  // full + tombstone cells
   DispatchObserver observer_;
 
   Slot& slot_ref(std::uint32_t i) {
     return slabs_[i >> kSlabBits][i & (kSlabSize - 1)];
   }
 
-  static std::uint64_t hash_time(Time t) {
-    auto z = static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ULL;
-    return z ^ (z >> 32);
-  }
-
-  static constexpr std::size_t kHeapArity = 4;
-  static constexpr std::size_t kMinHashCapacity = 64;
-
-  void sift_down(std::size_t i);
-  void pop_heap_top();
-  void rehash(std::size_t capacity);
-  /// Unlink every cancelled slot and retire emptied buckets (amortized
-  /// memory bound when a workload cancels far more than it dispatches).
+  /// Refile every entry of bucket `b`, in order, relative to the current
+  /// `last_`, dropping cancelled ones.  Splitting the lowest non-empty
+  /// bucket after raising `last_` to its minimum moves every entry to a
+  /// strictly lower bucket; with `last_` unchanged it only compacts.
+  void refile_bucket(unsigned b);
+  /// Drop every cancelled slot (amortized memory bound when a workload
+  /// cancels far more than it dispatches).
   void compact();
 
   // The per-event primitives below are defined in the header so every
   // schedule/dispatch site inlines them — measured ~10% of the hot-path
   // cost otherwise goes to call overhead and lost constant propagation.
 
-  void sift_up(std::size_t i) {
-    const HeapEntry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kHeapArity;
-      if (e.time >= heap_[parent].time) break;
-      heap_[i] = heap_[parent];
-      i = parent;
+  /// Append `slot` (key `t`) to the bucket `t` falls in relative to
+  /// `last_`: the bit width of the highest bit where they differ.
+  void file(std::uint32_t slot, Time t) {
+    const auto b = static_cast<unsigned>(
+        std::bit_width(static_cast<std::uint64_t>(t ^ last_)));
+    Bucket& bk = buckets_[b];
+    slot_next_[slot] = kNil;
+    if (bk.head == kNil) {
+      bk.head = slot;
+      bk.min = t;
+      occupied_ |= std::uint64_t{1} << b;
+    } else {
+      slot_next_[bk.tail] = slot;
+      if (t < bk.min) bk.min = t;
     }
-    heap_[i] = e;
+    bk.tail = slot;
   }
 
-  /// Allocate a slot, link it into the bucket for `t` (creating the
-  /// bucket and its heap/hash entries if `t` has no pending events) and
-  /// assign the next sequence number.  The caller fills the slot's cb.
+  /// Allocate a slot, file it under key `t` and assign the next sequence
+  /// number.  The caller fills the slot's cb.
   EventId schedule_slot(Time t, const char* site) {
     PARTIB_ASSERT_MSG(t >= now_, "cannot schedule an event in the past");
-    // Start the probe cell's cache fill now; the slot bookkeeping below
-    // runs while it is in flight.  (A rehash below invalidates the guess
-    // — rare, and a stale prefetch is only a wasted line.)
-    if (!hash_.empty()) {
-      __builtin_prefetch(&hash_[hash_time(t) & hash_mask_]);
-    }
+    PARTIB_ASSERT_MSG(t >= last_, "event key below the radix base");
     const std::uint64_t seq = next_seq_++;
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -263,87 +251,61 @@ class Engine {
       }
     }
     slot_seq_[slot] = seq;
-    slot_next_[slot] = kNil;
-
-    // Keep the probe map at most half full.  When the table genuinely
-    // has to grow, grow by at least 4x: the total cells-zeroed-plus-
-    // reinserted work stays well under one pass over the schedule
-    // stream.  When the pressure is tombstone churn alone (the heap-
-    // derived target does not exceed the current size), rehash in place
-    // instead of growing.
-    if (2 * (hash_used_ + 1) > hash_.size()) {
-      std::size_t target =
-          std::max(kMinHashCapacity, next_pow2(4 * (heap_.size() + 1)));
-      if (target > hash_.size()) target = std::max(target, 4 * hash_.size());
-      rehash(target);
-    }
-    // One probe walk resolves both outcomes: append to an existing
-    // bucket, or claim the chain's first reusable cell for a new one.
-    std::size_t i = hash_time(t) & hash_mask_;
-    std::size_t claim = hash_.size();  // sentinel: no tombstone seen yet
-    for (;;) {
-      TimeCell& cell = hash_[i];
-      if (cell.tail == kCellEmpty) {
-        if (claim == hash_.size()) {
-          claim = i;
-          ++hash_used_;  // claiming a tombstone instead keeps the count
-        }
-        hash_[claim] = TimeCell{t, slot, slot};
-        heap_.push_back(HeapEntry{t, static_cast<std::uint32_t>(claim)});
-        sift_up(heap_.size() - 1);
-        break;
-      }
-      if (cell.tail == kCellTomb) {
-        if (claim == hash_.size()) claim = i;
-      } else if (cell.time == t) {
-        if (cell.head == kNil) {
-          cell.head = cell.tail = slot;  // resurrect an exhausted bucket
-        } else {
-          slot_next_[cell.tail] = slot;
-          cell.tail = slot;
-        }
-        break;
-      }
-      i = (i + 1) & hash_mask_;
-    }
+    slot_time_[slot] = t;
+    file(slot, t);
     ++live_;
     return EventId{t, seq, slot};
   }
 
-  /// Drop dead list heads and exhausted buckets until the heap top has a
-  /// live event at its head.  Returns false when nothing is pending.
-  bool settle_top() {
-    while (!heap_.empty()) {
-      TimeCell& cell = hash_[heap_[0].cell];
-      while (cell.head != kNil && slot_seq_[cell.head] == 0) {
-        const std::uint32_t dead_slot = cell.head;
-        cell.head = slot_next_[dead_slot];
-        free_slots_.push_back(dead_slot);
+  /// Bring a live event with key `last_` to the head of bucket 0, or
+  /// return false when none is pending at or before `deadline`.  Dead
+  /// heads are freed as they surface; when bucket 0 runs dry the lowest
+  /// non-empty bucket is split at its minimum — but only if that minimum
+  /// is within the deadline, since the split raises `last_` to it and
+  /// the caller may schedule below it once run_until returns.
+  bool settle(Time deadline) {
+    Bucket& b0 = buckets_[0];
+    for (;;) {
+      while (b0.head != kNil) {
+        const std::uint32_t s = b0.head;
+        if (slot_seq_[s] != 0) return true;
+        b0.head = slot_next_[s];
+        free_slots_.push_back(s);
         --dead_;
       }
-      if (cell.head != kNil) return true;
-      cell.tail = kCellTomb;  // retire: O(1), the heap knows the cell index
-      pop_heap_top();
+      occupied_ &= ~std::uint64_t{1};
+      if (occupied_ == 0) {
+        // Drained.  A split at a cancelled minimum can leave `last_`
+        // above `now_`; with nothing pending, rebase so a schedule_at in
+        // [now_, last_) still files correctly.
+        last_ = now_;
+        return false;
+      }
+      const auto b = static_cast<unsigned>(std::countr_zero(occupied_));
+      if (buckets_[b].min > deadline) return false;
+      last_ = buckets_[b].min;
+      refile_bucket(b);
     }
-    return false;
   }
 
   void dispatch_front() {
-    // Caller guarantees a live head at the heap top (settle_top()).
-    const Time t = heap_[0].time;
-    TimeCell& cell = hash_[heap_[0].cell];
-    const std::uint32_t slot = cell.head;
+    // Caller guarantees a live head in bucket 0 (settle()).
+    Bucket& b0 = buckets_[0];
+    const std::uint32_t slot = b0.head;
     Slot& s = slot_ref(slot);
     const std::uint32_t next = slot_next_[slot];
-    cell.head = next;
+    b0.head = next;
+    PARTIB_ASSERT_MSG(slot_time_[slot] == last_,
+                      "dispatched key differs from the radix base");
+    const Time t = last_;
     now_ = t;
     diag_set_time(now_);
     // Retire the event (generation zeroed, unlinked from its bucket)
     // before invoking, then run the callback *in place*: the slot joins
     // the free list only after the call returns, so a callback that
-    // schedules new events — even at this same, resurrected timestamp —
-    // can never clobber the closure it is running from.  Skipping the
-    // move-out saves a 48-byte relocation per dispatch.
+    // schedules new events — even at this same timestamp — can never
+    // clobber the closure it is running from.  Skipping the move-out
+    // saves a 48-byte relocation per dispatch.
     const std::uint64_t seq = slot_seq_[slot];
     const char* site = s.site;
     slot_seq_[slot] = 0;
@@ -361,7 +323,7 @@ class Engine {
   }
 
   /// Slow path of schedule_slot: append a slab (and extend the parallel
-  /// seq/next arrays to match).
+  /// seq/next/time arrays to match).
   void grow_slots();
 };
 

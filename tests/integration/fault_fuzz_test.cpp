@@ -10,11 +10,11 @@
 // --iters=N  number of seeds; trials = 2N (default 250 -> 500 trials)
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <set>
 
+#include "support/flags.hpp"
 #include "support/lifecycle_fuzz.hpp"
 
 namespace partib::test {
@@ -80,19 +80,6 @@ TEST(FaultFuzz, LifecycleInvariantsAndReplayAcrossShapes) {
       structured_failures, absorbed_recoveries);
 }
 
-// bench/support/bench_main.hpp style: std::from_chars, reject garbage,
-// exit 2 so CI distinguishes usage errors from test failures.
-std::uint64_t parse_u64(const char* value, const char* flag) {
-  std::uint64_t parsed = 0;
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "invalid %s value: '%s'\n", flag, value);
-    std::exit(2);
-  }
-  return parsed;
-}
-
 }  // namespace
 }  // namespace partib::test
 
@@ -100,10 +87,11 @@ int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      partib::test::g_seed = partib::test::parse_u64(argv[i] + 7, "--seed");
+      partib::test::g_seed =
+          partib::test::parse_u64_flag(argv[i] + 7, "--seed");
     } else if (std::strncmp(argv[i], "--iters=", 8) == 0) {
       const std::uint64_t n =
-          partib::test::parse_u64(argv[i] + 8, "--iters");
+          partib::test::parse_u64_flag(argv[i] + 8, "--iters");
       if (n == 0 || n > 1'000'000) {
         std::fprintf(stderr, "--iters must be in [1, 1000000]\n");
         return 2;

@@ -1,7 +1,7 @@
 // Reference DES engine: the original std::map-based implementation the
 // production engine (src/sim/engine.hpp) replaced.
 //
-// The production engine's bucketed-heap queue promises *byte-identical*
+// The production engine's radix-heap queue promises *byte-identical*
 // dispatch behaviour to this one — same (time, seq) dispatch order, same
 // sequence-number assignment, same observer stream — while being several
 // times faster.  This copy is kept verbatim (modulo naming) as the
