@@ -12,6 +12,7 @@
 
 #include "agg/strategies.hpp"
 #include "backend/backend.hpp"
+#include "backend/des_backend.hpp"
 #include "backend/shm/spsc_ring.hpp"
 #include "common/atomic_bits.hpp"
 #include "common/units.hpp"
@@ -219,8 +220,9 @@ void BM_PreadyFlush(benchmark::State& state) {
   // 64 partitions at one transport partition each over 4 QPs maximises
   // per-message costs and exercises the WR-slot backlog (16 messages per
   // QP against the ConnectX-5 16-WR cap).
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> sbuf(64 * KiB), rbuf(64 * KiB);
   part::Options opts;
   opts.aggregator = std::make_shared<agg::StaticAggregator>(64, 4);
@@ -245,9 +247,9 @@ void BM_PreadyFlush(benchmark::State& state) {
 BENCHMARK(BM_PreadyFlush);
 
 void BM_BackendDispatch(benchmark::State& state) {
-  // BM_PreadyFlush's exact workload, but with the World constructed
-  // through the backend registry so every transport touch goes via the
-  // backend::Transport vtable and the drive loop via run_until_idle().
+  // BM_PreadyFlush's exact workload, but with the backend constructed
+  // through the registry and the drive loop going via the virtual
+  // run_until_idle() instead of the engine directly.
   // The gate (BENCH_hotpaths.json): <= 1.05x BM_PreadyFlush in the same
   // run — the pluggable-backend indirection must be noise on the data
   // path, because the per-op work (WR fill, wire model, CQ delivery)
@@ -389,11 +391,11 @@ void BM_ConnSetupTeardown(benchmark::State& state) {
   // control-plane handshake to RTS on both sides, release leaves the
   // slot warm, and the next connect recycles it through
   // ERROR->RESET->INIT->RTR->RTS (the Ibdxnet churn pattern).
-  sim::Engine engine;
   mpi::WorldOptions wopts;
   wopts.ranks = 2;
   wopts.conn_max_connections = 1;
-  mpi::World world(engine, wopts);
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
   mpi::ConnectionManager& active = world.rank(0).connections();
   mpi::ConnectionManager& passive = world.rank(1).connections();
   std::uint64_t token = 1;
@@ -402,7 +404,7 @@ void BM_ConnSetupTeardown(benchmark::State& state) {
     const auto id = active.connect(
         /*peer=*/1, /*qp_count=*/2, token,
         [](mpi::ConnectionManager::Connection&) {});
-    engine.run();
+    des.run_until_idle();
     active.release(id);
     ++token;
   }
@@ -425,11 +427,11 @@ void BM_IncastHandshake(benchmark::State& state) {
   opts.shared_resources = true;
   std::vector<std::byte> buf(16 * KiB);
   for (auto _ : state) {
-    sim::Engine engine;
     mpi::WorldOptions wopts;
     wopts.ranks = peers + 1;
     wopts.copy_data = false;
-    mpi::World world(engine, wopts);
+    backend::DesBackend des(mpi::backend_config(wopts));
+    mpi::World world(des, wopts);
     std::vector<std::unique_ptr<part::PsendRequest>> sends(
         static_cast<std::size_t>(peers));
     std::vector<std::unique_ptr<part::PrecvRequest>> recvs(sends.size());
@@ -440,7 +442,7 @@ void BM_IncastHandshake(benchmark::State& state) {
       PARTIB_ASSERT(ok(part::precv_init(world.rank(0), buf, 8, p + 1, p, 0,
                                         opts, &recvs[i])));
     }
-    engine.run();  // handshakes and acks
+    des.run_until_idle();  // handshakes and acks
     for (int p = 0; p < peers; ++p) {
       mpi::ConnectionManager& mgr = world.rank(p + 1).connections();
       mgr.connect(0, /*qp_count=*/1,
@@ -452,7 +454,7 @@ void BM_IncastHandshake(benchmark::State& state) {
                     }
                   });
     }
-    engine.run();  // connection establishment
+    des.run_until_idle();  // connection establishment
     benchmark::DoNotOptimize(
         world.rank(0).connections().established_connections());
   }
@@ -606,9 +608,6 @@ class PreadyRig {
 
   PreadyRig(int producers, runtime::ShardedProgressEngine::Mode mode)
       : producers_(producers) {
-    mpi::WorldOptions wopts;
-    wopts.copy_data = false;  // host cost of the runtime, not the memcpy
-    world_ = std::make_unique<mpi::World>(engine_, wopts);
     part::Options opts;
     // 256 transport partitions (group of 16): the paper's mid-range
     // aggregation, so a realistic share of calls completes a group and
@@ -623,10 +622,10 @@ class PreadyRig {
       const auto i = static_cast<std::size_t>(t);
       sbufs_[i].resize(kRigPartitions * 16);
       rbufs_[i].resize(kRigPartitions * 16);
-      PARTIB_ASSERT(ok(part::psend_init(world_->rank(0), sbufs_[i],
+      PARTIB_ASSERT(ok(part::psend_init(world_.rank(0), sbufs_[i],
                                         kRigPartitions, 1, t, 0, opts,
                                         &sends_[i])));
-      PARTIB_ASSERT(ok(part::precv_init(world_->rank(1), rbufs_[i],
+      PARTIB_ASSERT(ok(part::precv_init(world_.rank(1), rbufs_[i],
                                         kRigPartitions, 0, t, 0, opts,
                                         &recvs_[i])));
     }
@@ -710,9 +709,16 @@ class PreadyRig {
     }
   }
 
+  static mpi::WorldOptions rig_options() {
+    mpi::WorldOptions wopts;
+    wopts.copy_data = false;  // host cost of the runtime, not the memcpy
+    return wopts;
+  }
+
   int producers_;
-  sim::Engine engine_;
-  std::unique_ptr<mpi::World> world_;
+  backend::DesBackend des_{mpi::backend_config(rig_options())};
+  sim::Engine& engine_ = des_.engine();
+  mpi::World world_{des_, rig_options()};
   std::vector<std::vector<std::byte>> sbufs_;
   std::vector<std::vector<std::byte>> rbufs_;
   std::vector<std::unique_ptr<part::PsendRequest>> sends_;

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "agg/strategies.hpp"
-#include "backend/backend.hpp"
 #include "bench/report.hpp"
 #include "part/options.hpp"
 #include "runner/runner.hpp"
@@ -41,17 +40,6 @@ class Cli {
       } else if (std::strncmp(argv[i], "--delta0=", 9) == 0) {
         delta0_ = static_cast<Duration>(
             parse_positive(argv[i] + 9, "--delta0"));
-      } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-        backend_ = argv[i] + 10;
-        if (!backend::backend_registered(backend_)) {
-          std::cerr << "bench: unknown --backend \"" << backend_
-                    << "\" (registered:";
-          for (const std::string& n : backend::backend_names()) {
-            std::cerr << " " << n;
-          }
-          std::cerr << ")\n";
-          std::exit(2);
-        }
       }
     }
     if (!no_cache_) {
@@ -77,16 +65,6 @@ class Cli {
   /// (the drivers' historical hard-coded value, typically msec(4)).
   Duration initial_delta(Duration fallback = msec(4)) const {
     return delta0_ > 0 ? delta0_ : fallback;
-  }
-
-  /// Transport backend for drivers that construct their World through the
-  /// registry: --backend=NAME, else PARTIB_BACKEND, else "des" — so the
-  /// figure pipelines stay on the deterministic fabric unless explicitly
-  /// pointed elsewhere.
-  const std::string& backend_name() const { return backend_; }
-  std::unique_ptr<backend::Backend> make_backend(
-      const backend::Config& config = {}) const {
-    return backend::make_backend(backend_, config);
   }
 
   /// Runner options wired from the command line: --jobs=N worker threads
@@ -155,7 +133,6 @@ class Cli {
   model::LogGPParams loggp_{};
   bool loggp_set_ = false;
   Duration delta0_ = 0;  ///< 0 = use the driver's fallback
-  std::string backend_ = backend::default_backend_name();
 };
 
 inline part::Options options_with(

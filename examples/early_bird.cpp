@@ -9,10 +9,10 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/noise.hpp"
 #include "support_options.hpp"
 
@@ -25,8 +25,9 @@ constexpr std::size_t kBytes = 8 * MiB;
 constexpr std::size_t kLaggard = 17;
 
 void run_design(const char* name, const part::Options& opts) {
-  sim::Engine engine;
-  mpi::World world(engine, mpi::WorldOptions{});
+  const mpi::WorldOptions wopts;
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
   std::vector<std::byte> sbuf(kBytes), rbuf(kBytes);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
@@ -37,7 +38,7 @@ void run_design(const char* name, const part::Options& opts) {
     std::fprintf(stderr, "setup failed\n");
     return;
   }
-  engine.run();
+  des.run_until_idle();
 
   (void)send->start();
   (void)recv->start();
@@ -50,11 +51,11 @@ void run_design(const char* name, const part::Options& opts) {
   Time last_pready = 0;
   for (std::size_t i = 0; i < kPartitions; ++i) {
     world.rank(0).cpu().submit(pattern[i], [&, i] {
-      last_pready = std::max(last_pready, engine.now());
+      last_pready = std::max(last_pready, des.now());
       (void)send->pready(i);
     });
   }
-  engine.run();
+  des.run_until_idle();
 
   std::size_t early = 0;
   Time laggard_arrival = arrivals[kLaggard];

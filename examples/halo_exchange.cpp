@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "agg/strategies.hpp"
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/noise.hpp"
 #include "sim/rng.hpp"
 
@@ -47,10 +47,10 @@ struct Node {
 }  // namespace
 
 int main() {
-  sim::Engine engine;
   mpi::WorldOptions wopts;
   wopts.ranks = kGrid * kGrid;
-  mpi::World world(engine, wopts);
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
   sim::Rng rng(2026);
 
   part::Options opts;
@@ -86,10 +86,10 @@ int main() {
       }
     }
   }
-  engine.run();  // settle all handshakes
+  des.run_until_idle();  // settle all handshakes
 
   for (int iter = 0; iter < kIterations; ++iter) {
-    const Time t0 = engine.now();
+    const Time t0 = des.now();
     for (Node& node : nodes) {
       for (Face& face : node.faces) {
         (void)face.send->start();
@@ -107,7 +107,7 @@ int main() {
         });
       }
     }
-    engine.run();  // all faces of all ranks complete
+    des.run_until_idle();  // all faces of all ranks complete
 
     bool all_done = true;
     for (Node& node : nodes) {
@@ -117,7 +117,7 @@ int main() {
     }
     std::printf("iteration %d: %s in %s\n", iter,
                 all_done ? "all faces exchanged" : "INCOMPLETE",
-                format_duration(engine.now() - t0).c_str());
+                format_duration(des.now() - t0).c_str());
     if (!all_done) return 1;
   }
 

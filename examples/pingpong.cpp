@@ -5,16 +5,17 @@
 #include <cstdio>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/p2p.hpp"
 #include "mpi/world.hpp"
-#include "sim/engine.hpp"
 
 using namespace partib;
 
 int main() {
-  sim::Engine engine;
-  mpi::World world(engine, mpi::WorldOptions{});
+  const mpi::WorldOptions wopts;
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
   mpi::P2pEndpoint ep0(world.rank(0));
   mpi::P2pEndpoint ep1(world.rank(1));
 
@@ -36,13 +37,13 @@ int main() {
         if (--remaining > 0) {
           (void)ep0.send(1, 0, msg);
         } else {
-          t1 = engine.now();
+          t1 = des.now();
         }
       });
     }
-    t0 = engine.now();
+    t0 = des.now();
     (void)ep0.send(1, 0, msg);
-    engine.run();
+    des.run_until_idle();
 
     const double half_rtt_ns =
         static_cast<double>(t1 - t0) / (2.0 * kIters);

@@ -11,17 +11,19 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 
 using namespace partib;
 
 int main() {
-  // A simulated two-node EDR InfiniBand cluster.
-  sim::Engine engine;
-  mpi::World world(engine, mpi::WorldOptions{});
+  // A simulated two-node EDR InfiniBand cluster: the discrete-event
+  // backend (virtual clock plus fabric model) and a two-rank world on it.
+  const mpi::WorldOptions wopts;
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
 
   constexpr std::size_t kPartitions = 16;
   constexpr std::size_t kBytes = 64 * KiB;
@@ -64,10 +66,10 @@ int main() {
     }
 
     // Drive the cluster until quiescent (cf. MPI_Wait on both sides).
-    engine.run();
+    des.run_until_idle();
 
     std::printf("round %d: complete at t=%s, %llu WR(s) so far, data %s\n",
-                round, format_duration(engine.now()).c_str(),
+                round, format_duration(des.now()).c_str(),
                 static_cast<unsigned long long>(send->wrs_posted_total()),
                 send_buffer == recv_buffer ? "intact" : "CORRUPT");
     if (send_buffer != recv_buffer) return 1;

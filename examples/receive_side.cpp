@@ -9,12 +9,12 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
-#include "sim/engine.hpp"
-#include "sim/resources.hpp"
 #include "sim/noise.hpp"
+#include "sim/resources.hpp"
 #include "support_options.hpp"
 
 using namespace partib;
@@ -26,11 +26,12 @@ constexpr std::size_t kBytes = 16 * MiB;
 constexpr Duration kWorkPerPartition = usec(120);
 
 Time run(bool overlap) {
-  sim::Engine engine;
-  mpi::World world(engine, mpi::WorldOptions{});
+  const mpi::WorldOptions wopts;
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
   // One dedicated consumer thread on the receiver processes partitions
   // serially (a reduction/unpack stage).
-  sim::FifoResource consumer(engine, 1);
+  sim::FifoResource consumer(des.engine(), 1);
   std::vector<std::byte> sbuf(kBytes), rbuf(kBytes);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
@@ -39,7 +40,7 @@ Time run(bool overlap) {
                          &send);
   (void)part::precv_init(world.rank(1), rbuf, kPartitions, 0, 0, 0, opts,
                          &recv);
-  engine.run();
+  des.run_until_idle();
 
   (void)send->start();
   (void)recv->start();
@@ -64,17 +65,17 @@ Time run(bool overlap) {
         last_processed = end;
       });
     });
-    engine.run();
+    des.run_until_idle();
   } else {
     // Classic style: wait for the whole message, then process everything.
-    engine.run();
+    des.run_until_idle();
     for (std::size_t i = 0; i < kPartitions; ++i) {
       consumer.request(kWorkPerPartition, [&](Time, Time end) {
         ++processed;
         last_processed = end;
       });
     }
-    engine.run();
+    des.run_until_idle();
   }
   if (processed != kPartitions) std::abort();
   return last_processed;

@@ -1,14 +1,10 @@
 #include "backend/backend.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "backend/des_backend.hpp"
 #include "backend/shm/shm_backend.hpp"
 #include "check/check.hpp"
-#include "common/diag.hpp"
-#include "common/env.hpp"
-#include "common/log.hpp"
 
 namespace partib::backend {
 namespace {
@@ -81,17 +77,6 @@ bool backend_registered(std::string_view name) {
     if (e.name == name) return true;
   }
   return false;
-}
-
-std::string default_backend_name() {
-  auto env = env_string("PARTIB_BACKEND");
-  if (!env || env->empty()) return "des";
-  if (!backend_registered(*env)) {
-    PARTIB_WARN("backend: PARTIB_BACKEND='%s' is not registered (%s); abort",
-                env->c_str(), joined_names().c_str());
-    std::abort();
-  }
-  return *env;
 }
 
 }  // namespace partib::backend

@@ -107,8 +107,4 @@ std::vector<std::string> backend_names();
 /// True when `name` is registered.
 bool backend_registered(std::string_view name);
 
-/// The session default: $PARTIB_BACKEND when set (and registered — an
-/// unknown value aborts loudly), else "des".
-std::string default_backend_name();
-
 }  // namespace partib::backend

@@ -26,10 +26,6 @@ class DesBackend final : public Backend {
   void progress() override { (void)engine_.step(); }
   std::size_t run_until_idle() override { return engine_.run(); }
 
-  /// The concrete fabric, for DES-only consumers (trace sinks, fluid
-  /// topology knobs).
-  fabric::Fabric& fabric() { return fabric_; }
-
  private:
   sim::Engine engine_;
   fabric::Fabric fabric_;

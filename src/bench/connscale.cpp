@@ -4,10 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/timeline_buffer.hpp"
+#include "bench/trial_world.hpp"
 #include "mpi/conn.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "verbs/verbs.hpp"
 
 namespace partib::bench {
@@ -21,13 +19,10 @@ struct Channel {
 
 }  // namespace
 
-ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
-  sim::Engine engine;
-  mpi::WorldOptions wopts = cfg.world;
-  wopts.ranks = cfg.alltoall ? cfg.peers : cfg.peers + 1;
-  // Only the timeline matters here; skip payload memcpy.
-  wopts.copy_data = false;
-  mpi::World world(engine, wopts);
+ConnScaleResult run_connscale(backend::Backend& be,
+                              const ConnScaleConfig& cfg) {
+  mpi::World world(
+      be, trial_world(cfg.world, cfg.alltoall ? cfg.peers : cfg.peers + 1));
 
   // Every channel's send and receive side shares one reservation.
   const TimelineBuffer payload(cfg.bytes);
@@ -56,11 +51,11 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
   } else {
     for (int p = 0; p < cfg.peers; ++p) add_channel(p + 1, 0, /*tag=*/p);
   }
-  engine.run();  // all handshakes
+  be.run_until_idle();  // all handshakes
 
   Duration total = 0;
   for (int round = 1; round <= cfg.rounds; ++round) {
-    const Time t0 = engine.now();
+    const Time t0 = be.now();
     for (Channel& c : channels) {
       PARTIB_ASSERT(ok(c.send->start()));
       PARTIB_ASSERT(ok(c.recv->start()));
@@ -70,11 +65,11 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
         PARTIB_ASSERT(ok(c.send->pready(i)));
       }
     }
-    engine.run();
+    be.run_until_idle();
     for (Channel& c : channels) {
       PARTIB_ASSERT(c.send->test() && c.recv->test());
     }
-    total += engine.now() - t0;
+    total += be.now() - t0;
   }
 
   ConnScaleResult r;
@@ -91,6 +86,10 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
     r.recycles = mgr.total_recycles();
   }
   return r;
+}
+
+ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
+  return on_des(run_connscale, cfg);
 }
 
 }  // namespace partib::bench

@@ -55,6 +55,10 @@ void visit_fields(V&& v, S& r) {
     r.hot_resident_bytes, r.establishments, r.recycles);
 }
 
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+ConnScaleResult run_connscale(backend::Backend& be,
+                              const ConnScaleConfig& cfg);
 ConnScaleResult run_connscale(const ConnScaleConfig& cfg);
 
 }  // namespace partib::bench

@@ -4,10 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "bench/timeline_buffer.hpp"
+#include "bench/trial_world.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/noise.hpp"
 #include "sim/rng.hpp"
 
@@ -28,14 +26,14 @@ struct HaloRank {
 
 struct HaloRun {
   const HaloConfig& cfg;
-  sim::Engine& engine;
+  backend::Backend& be;
   mpi::World& world;
   std::vector<HaloRank> ranks;
   int total_iters;
   int finished = 0;
 
-  HaloRun(const HaloConfig& c, sim::Engine& e, mpi::World& w)
-      : cfg(c), engine(e), world(w),
+  HaloRun(const HaloConfig& c, backend::Backend& b, mpi::World& w)
+      : cfg(c), be(b), world(w),
         ranks(static_cast<std::size_t>(c.px * c.py)),
         total_iters(c.warmup + c.iterations) {}
 
@@ -63,22 +61,11 @@ struct HaloRun {
   }
 
   void start_compute(std::size_t r) {
-    HaloRank& hr = ranks[r];
-    const std::size_t n = cfg.threads;
-    const auto laggard = static_cast<std::size_t>(
-        hr.rng->uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    sim::ArrivalPattern pattern =
-        sim::many_before_one(n, cfg.compute, cfg.noise, laggard);
-    const Duration span =
-        cfg.jitter_per_thread * static_cast<Duration>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != laggard) {
-        pattern[i] += static_cast<Duration>(
-            hr.rng->uniform(0.0, static_cast<double>(span)));
-      }
-    }
+    const sim::ArrivalPattern pattern = sim::jittered_many_before_one(
+        cfg.threads, cfg.compute, cfg.noise, cfg.jitter_per_thread,
+        *ranks[r].rng);
     mpi::Rank& mr = world.rank(static_cast<int>(r));
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < cfg.threads; ++i) {
       mr.cpu().submit(pattern[i], [this, r, i] {
         HaloRank& h = ranks[r];
         for (auto& send : h.sends) PARTIB_ASSERT(ok(send->pready(i)));
@@ -94,7 +81,7 @@ struct HaloRun {
     HaloRank& hr = ranks[r];
     if (!hr.compute_done || hr.pending != 0) return;
     ++hr.iter;
-    if (hr.iter == cfg.warmup) hr.warmup_done_at = engine.now();
+    if (hr.iter == cfg.warmup) hr.warmup_done_at = be.now();
     if (hr.iter < total_iters) {
       begin_iteration(r);
     } else {
@@ -105,13 +92,10 @@ struct HaloRun {
 
 }  // namespace
 
-HaloResult run_halo(HaloConfig cfg) {
+HaloResult run_halo(backend::Backend& be, const HaloConfig& cfg) {
   PARTIB_ASSERT(cfg.px >= 1 && cfg.py >= 1 && cfg.face_bytes > 0);
-  sim::Engine engine;
-  cfg.world.ranks = cfg.px * cfg.py;
-  cfg.world.copy_data = false;
-  mpi::World world(engine, cfg.world);
-  HaloRun run(cfg, engine, world);
+  mpi::World world(be, trial_world(cfg.world, cfg.px * cfg.py));
+  HaloRun run(cfg, be, world);
 
   // Every face of every rank shares one reservation, as in the sweep.
   const TimelineBuffer payload(cfg.face_bytes);
@@ -143,10 +127,10 @@ HaloResult run_halo(HaloConfig cfg) {
       }
     }
   }
-  engine.run();  // settle handshakes
+  be.run_until_idle();  // settle handshakes
 
   for (std::size_t r = 0; r < run.ranks.size(); ++r) run.begin_iteration(r);
-  engine.run();
+  be.run_until_idle();
   PARTIB_ASSERT(run.finished == cfg.px * cfg.py);
 
   Time warmup_done = 0;
@@ -154,10 +138,12 @@ HaloResult run_halo(HaloConfig cfg) {
     warmup_done = std::max(warmup_done, hr.warmup_done_at);
   }
   HaloResult res;
-  res.total_time = engine.now() - warmup_done;
+  res.total_time = be.now() - warmup_done;
   res.compute_on_path = static_cast<Duration>(cfg.iterations) * cfg.compute;
   res.comm_time = res.total_time - res.compute_on_path;
   return res;
 }
+
+HaloResult run_halo(const HaloConfig& cfg) { return on_des(run_halo, cfg); }
 
 }  // namespace partib::bench

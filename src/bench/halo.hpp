@@ -49,6 +49,9 @@ void visit_fields(V&& v, S& r) {
   v(r.total_time, r.compute_on_path, r.comm_time);
 }
 
-HaloResult run_halo(HaloConfig cfg);
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+HaloResult run_halo(backend::Backend& be, const HaloConfig& cfg);
+HaloResult run_halo(const HaloConfig& cfg);
 
 }  // namespace partib::bench

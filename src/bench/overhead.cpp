@@ -3,33 +3,20 @@
 #include <algorithm>
 #include <limits>
 
-#include "bench/timeline_buffer.hpp"
+#include "bench/trial_world.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace partib::bench {
 
-OverheadResult run_overhead(const OverheadConfig& cfg) {
+OverheadResult run_overhead(backend::Backend& be, const OverheadConfig& cfg) {
   PARTIB_ASSERT(cfg.total_bytes > 0 && cfg.user_partitions > 0);
-  sim::Engine engine;
-  mpi::WorldOptions wopts = cfg.world;
-  wopts.ranks = 2;
-  // Only the timeline matters here; skip payload memcpy.
-  wopts.copy_data = false;
-  mpi::World world(engine, wopts);
-
-  const TimelineBuffer payload(cfg.total_bytes);
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), payload.span(),
-                                    cfg.user_partitions, 1, 0, 0, cfg.options,
-                                    &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), payload.span(),
-                                    cfg.user_partitions, 0, 0, 0, cfg.options,
-                                    &recv)));
-  engine.run();  // settle the handshake outside the timed region
+  TwoRankChannel ch(be, cfg.world, cfg.total_bytes, cfg.user_partitions,
+                    cfg.options);
+  part::PsendRequest& send = *ch.send;
+  part::PrecvRequest& recv = *ch.recv;
+  sim::ProcessorSharingCpu& cpu = ch.world.rank(0).cpu();
 
   OverheadResult res;
   res.min_round = std::numeric_limits<Duration>::max();
@@ -47,21 +34,21 @@ OverheadResult run_overhead(const OverheadConfig& cfg) {
   // sender rank during the measured window is communication work.
   for (int iter = 0; iter < cfg.warmup + cfg.iterations; ++iter) {
     if (iter == cfg.warmup) {
-      wrs_at_measure_start = send->wrs_posted_total();
-      cpu_at_measure_start = world.rank(0).cpu().total_work_submitted();
+      wrs_at_measure_start = send.wrs_posted_total();
+      cpu_at_measure_start = cpu.total_work_submitted();
     }
-    const Time t0 = engine.now();
-    PARTIB_ASSERT(ok(send->start()));
-    PARTIB_ASSERT(ok(recv->start()));
+    const Time t0 = be.now();
+    PARTIB_ASSERT(ok(send.start()));
+    PARTIB_ASSERT(ok(recv.start()));
     for (std::size_t i = 0; i < cfg.user_partitions; ++i) {
       const auto delay = static_cast<Duration>(
           rng.uniform(0.0, static_cast<double>(jitter_span)));
-      engine.schedule_after(
-          delay, [&send, i] { PARTIB_ASSERT(ok(send->pready(i))); });
+      be.engine().schedule_after(
+          delay, [&send, i] { PARTIB_ASSERT(ok(send.pready(i))); });
     }
-    engine.run();
-    PARTIB_ASSERT(send->test() && recv->test());
-    const Duration dt = engine.now() - t0;
+    be.run_until_idle();
+    PARTIB_ASSERT(send.test() && recv.test());
+    const Duration dt = be.now() - t0;
     if (iter >= cfg.warmup) {
       sum += dt;
       res.min_round = std::min(res.min_round, dt);
@@ -70,11 +57,15 @@ OverheadResult run_overhead(const OverheadConfig& cfg) {
     }
   }
   res.mean_round = sum / std::max(measured, 1);
-  res.wrs_posted = send->wrs_posted_total() - wrs_at_measure_start;
+  res.wrs_posted = send.wrs_posted_total() - wrs_at_measure_start;
   res.host_cpu_per_round =
-      (world.rank(0).cpu().total_work_submitted() - cpu_at_measure_start) /
+      (cpu.total_work_submitted() - cpu_at_measure_start) /
       std::max(measured, 1);
   return res;
+}
+
+OverheadResult run_overhead(const OverheadConfig& cfg) {
+  return on_des(run_overhead, cfg);
 }
 
 }  // namespace partib::bench

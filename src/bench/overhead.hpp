@@ -53,6 +53,9 @@ void visit_fields(V&& v, S& r) {
     r.host_cpu_per_round);
 }
 
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+OverheadResult run_overhead(backend::Backend& be, const OverheadConfig& cfg);
 OverheadResult run_overhead(const OverheadConfig& cfg);
 
 }  // namespace partib::bench

@@ -65,6 +65,10 @@ void visit_fields(V&& v, S& r) {
     r.wire_gbytes_per_s, r.mean_wrs_per_round);
 }
 
-PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg);
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+PerceivedResult run_perceived_bandwidth(backend::Backend& be,
+                                        const PerceivedConfig& cfg);
+PerceivedResult run_perceived_bandwidth(const PerceivedConfig& cfg);
 
 }  // namespace partib::bench

@@ -4,10 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "bench/timeline_buffer.hpp"
+#include "bench/trial_world.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/noise.hpp"
 #include "sim/rng.hpp"
 
@@ -40,14 +38,14 @@ struct RankState {
 
 struct SweepRun {
   const SweepConfig& cfg;
-  sim::Engine& engine;
+  backend::Backend& be;
   mpi::World& world;
   std::vector<RankState> ranks;
   int total_iters;
   int finished_ranks = 0;
 
-  SweepRun(const SweepConfig& c, sim::Engine& e, mpi::World& w)
-      : cfg(c), engine(e), world(w),
+  SweepRun(const SweepConfig& c, backend::Backend& b, mpi::World& w)
+      : cfg(c), be(b), world(w),
         ranks(static_cast<std::size_t>(c.px * c.py)),
         total_iters(c.warmup + c.iterations) {}
 
@@ -85,21 +83,10 @@ struct SweepRun {
   }
 
   void start_compute(RankState& r) {
-    const std::size_t n = cfg.threads;
-    const auto laggard = static_cast<std::size_t>(
-        r.rng->uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    sim::ArrivalPattern pattern =
-        sim::many_before_one(n, cfg.compute, cfg.noise, laggard);
-    const Duration span =
-        cfg.jitter_per_thread * static_cast<Duration>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != laggard) {
-        pattern[i] += static_cast<Duration>(
-            r.rng->uniform(0.0, static_cast<double>(span)));
-      }
-    }
+    const sim::ArrivalPattern pattern = sim::jittered_many_before_one(
+        cfg.threads, cfg.compute, cfg.noise, cfg.jitter_per_thread, *r.rng);
     mpi::Rank& mr = world.rank(rank_id(r.x, r.y));
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < cfg.threads; ++i) {
       mr.cpu().submit(pattern[i], [this, &r, i] {
         if (r.send_e) PARTIB_ASSERT(ok(r.send_e->pready(i)));
         if (r.send_s) PARTIB_ASSERT(ok(r.send_s->pready(i)));
@@ -117,7 +104,7 @@ struct SweepRun {
       return;
     }
     ++r.iter;
-    if (r.iter == cfg.warmup) r.warmup_done_at = engine.now();
+    if (r.iter == cfg.warmup) r.warmup_done_at = be.now();
     if (r.iter < total_iters) {
       begin_iteration(r);
     } else {
@@ -128,14 +115,11 @@ struct SweepRun {
 
 }  // namespace
 
-SweepResult run_sweep(SweepConfig cfg) {
+SweepResult run_sweep(backend::Backend& be, const SweepConfig& cfg) {
   PARTIB_ASSERT(cfg.px >= 1 && cfg.py >= 1 && cfg.message_bytes > 0);
-  sim::Engine engine;
-  cfg.world.ranks = cfg.px * cfg.py;
-  cfg.world.copy_data = false;
-  mpi::World world(engine, cfg.world);
+  mpi::World world(be, trial_world(cfg.world, cfg.px * cfg.py));
 
-  SweepRun run(cfg, engine, world);
+  SweepRun run(cfg, be, world);
   // Payload copies are disabled, so every channel shares one reservation
   // (MRs may overlap; only the timeline matters here).
   const TimelineBuffer payload(cfg.message_bytes);
@@ -174,10 +158,10 @@ SweepResult run_sweep(SweepConfig cfg) {
       }
     }
   }
-  engine.run();  // settle every handshake before timing
+  be.run_until_idle();  // settle every handshake before timing
 
   for (RankState& r : run.ranks) run.begin_iteration(r);
-  engine.run();
+  be.run_until_idle();
   PARTIB_ASSERT(run.finished_ranks == cfg.px * cfg.py);
 
   Time warmup_done = 0;
@@ -187,7 +171,7 @@ SweepResult run_sweep(SweepConfig cfg) {
   }
 
   SweepResult res;
-  res.total_time = engine.now() - warmup_done;
+  res.total_time = be.now() - warmup_done;
   // The paper subtracts "the computation time listed in each subfigure
   // caption" — the nominal compute only.  The noise-induced laggard delay
   // deliberately stays inside the communication time, which is why large
@@ -196,5 +180,7 @@ SweepResult run_sweep(SweepConfig cfg) {
   res.comm_time = res.total_time - res.compute_on_path;
   return res;
 }
+
+SweepResult run_sweep(const SweepConfig& cfg) { return on_des(run_sweep, cfg); }
 
 }  // namespace partib::bench

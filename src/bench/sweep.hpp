@@ -52,6 +52,9 @@ void visit_fields(V&& v, S& r) {
   v(r.total_time, r.compute_on_path, r.comm_time);
 }
 
-SweepResult run_sweep(SweepConfig cfg);
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+SweepResult run_sweep(backend::Backend& be, const SweepConfig& cfg);
+SweepResult run_sweep(const SweepConfig& cfg);
 
 }  // namespace partib::bench

@@ -9,10 +9,10 @@ namespace partib::bench {
 namespace {
 
 /// The seed convention: seed == 0 asks for derive_seed(fingerprint).
-template <typename Config, typename Run>
-auto seeded_trial(Config cfg, Run run) {
+template <typename Config>
+Config seeded(Config cfg) {
   if (cfg.seed == 0) cfg.seed = runner::derive_seed(fingerprint(cfg));
-  return run(cfg);
+  return cfg;
 }
 
 template <typename Config, typename Result>
@@ -66,22 +66,22 @@ runner::Codec<ZooResult> zoo_codec() {
 }
 
 OverheadResult overhead_trial(const OverheadConfig& cfg) {
-  return seeded_trial(cfg, run_overhead);
+  return run_overhead(seeded(cfg));
 }
 PerceivedResult perceived_trial(const PerceivedConfig& cfg) {
-  return seeded_trial(cfg, run_perceived_bandwidth);
+  return run_perceived_bandwidth(seeded(cfg));
 }
 SweepResult sweep_trial(const SweepConfig& cfg) {
-  return seeded_trial(cfg, run_sweep);
+  return run_sweep(seeded(cfg));
 }
 HaloResult halo_trial(const HaloConfig& cfg) {
-  return seeded_trial(cfg, run_halo);
+  return run_halo(seeded(cfg));
 }
 ConnScaleResult connscale_trial(const ConnScaleConfig& cfg) {
-  return seeded_trial(cfg, run_connscale);
+  return run_connscale(seeded(cfg));
 }
 ZooResult zoo_trial(const ZooConfig& cfg) {
-  return seeded_trial(cfg, run_zoo);
+  return run_zoo(seeded(cfg));
 }
 
 std::vector<OverheadResult> run_overhead_grid(

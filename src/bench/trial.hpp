@@ -47,8 +47,10 @@ runner::Codec<ConnScaleResult> connscale_codec();
 runner::Codec<ZooResult> zoo_codec();
 
 /// Pure `(config) -> result` trial forms: resolve the seed convention
-/// (seed == 0 derives from the fingerprint) and run one isolated
-/// simulation.  Thread-safe: every call builds its own Engine/World.
+/// (seed == 0 derives from the fingerprint) and run one isolated trial
+/// over a fresh DES backend of its own.  Thread-safe: no two calls share
+/// a backend.  The bodies (run_overhead(backend, cfg), ...) run the same
+/// trial over a caller's backend (bench/trial_world.hpp).
 OverheadResult overhead_trial(const OverheadConfig& cfg);
 PerceivedResult perceived_trial(const PerceivedConfig& cfg);
 SweepResult sweep_trial(const SweepConfig& cfg);

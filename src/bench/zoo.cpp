@@ -4,10 +4,8 @@
 #include <memory>
 #include <numeric>
 
-#include "bench/timeline_buffer.hpp"
+#include "bench/trial_world.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace partib::bench {
@@ -129,24 +127,14 @@ void zoo_arrivals(ZooShape shape, std::size_t n, Duration spread,
   PARTIB_ASSERT(false);
 }
 
-ZooResult run_zoo(ZooConfig cfg) {
+ZooResult run_zoo(backend::Backend& be, const ZooConfig& cfg) {
   PARTIB_ASSERT(cfg.total_bytes > 0 && cfg.user_partitions > 0);
   PARTIB_ASSERT(cfg.epochs > cfg.warmup && cfg.warmup >= 0);
-  sim::Engine engine;
-  cfg.world.ranks = 2;
-  cfg.world.copy_data = false;
-  mpi::World world(engine, cfg.world);
-
   const std::size_t n = cfg.user_partitions;
-  const TimelineBuffer payload(cfg.total_bytes);
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), payload.span(), n, 1, 0, 0,
-                                    cfg.options, &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), payload.span(), n, 0, 0, 0,
-                                    cfg.options, &recv)));
-  engine.run();
-  PARTIB_ASSERT_MSG(!cfg.oracle || send->plan().learning,
+  TwoRankChannel ch(be, cfg.world, cfg.total_bytes, n, cfg.options);
+  part::PsendRequest& send = *ch.send;
+  part::PrecvRequest& recv = *ch.recv;
+  PARTIB_ASSERT_MSG(!cfg.oracle || send.plan().learning,
                     "the oracle arm needs a learning plan to seed");
 
   ZooResult res;
@@ -163,24 +151,24 @@ ZooResult run_zoo(ZooConfig cfg) {
     zoo_arrivals(cfg.shape, n, cfg.spread, cfg.seed, epoch, cfg.epochs,
                  truth.data());
     if (cfg.oracle) {
-      PARTIB_ASSERT(ok(send->seed_profile(truth)));
+      PARTIB_ASSERT(ok(send.seed_profile(truth)));
     }
-    if (epoch == cfg.warmup) wrs_at_warm = send->wrs_posted_total();
-    PARTIB_ASSERT(ok(send->start()));
-    PARTIB_ASSERT(ok(recv->start()));
+    if (epoch == cfg.warmup) wrs_at_warm = send.wrs_posted_total();
+    PARTIB_ASSERT(ok(send.start()));
+    PARTIB_ASSERT(ok(recv.start()));
 
-    const Time t0 = engine.now();
+    const Time t0 = be.now();
     Time last_pready = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      engine.schedule_at(t0 + truth[i], [&engine, &send, &last_pready, i] {
-        last_pready = std::max(last_pready, engine.now());
-        PARTIB_ASSERT(ok(send->pready(i)));
+      be.engine().schedule_at(t0 + truth[i], [&be, &send, &last_pready, i] {
+        last_pready = std::max(last_pready, be.now());
+        PARTIB_ASSERT(ok(send.pready(i)));
       });
     }
     Time recv_done = -1;
-    recv->when_complete([&engine, &recv_done] { recv_done = engine.now(); });
-    engine.run();
-    PARTIB_ASSERT(send->test() && recv->test());
+    recv.when_complete([&be, &recv_done] { recv_done = be.now(); });
+    be.run_until_idle();
+    PARTIB_ASSERT(send.test() && recv.test());
     PARTIB_ASSERT(recv_done >= last_pready);
 
     const double gbps = static_cast<double>(cfg.total_bytes) /
@@ -200,15 +188,16 @@ ZooResult run_zoo(ZooConfig cfg) {
   for (int p = 0; p < 3; ++p) {
     res.phase_gbytes_per_s[p] = phase_sum[p] / std::max(phase_n[p], 1);
   }
-  res.final_tp = static_cast<std::int64_t>(send->transport_partitions());
+  res.final_tp = static_cast<std::int64_t>(send.transport_partitions());
   res.final_delta_us =
-      send->plan().timer_based ? to_usec(send->plan().timer_delta) : 0.0;
+      send.plan().timer_based ? to_usec(send.plan().timer_delta) : 0.0;
   res.mean_wrs_per_epoch =
-      static_cast<double>(send->wrs_posted_total() - wrs_at_warm) /
+      static_cast<double>(send.wrs_posted_total() - wrs_at_warm) /
       std::max(warm_n, 1);
-  res.replans_adopted =
-      static_cast<std::int64_t>(send->replans_adopted());
+  res.replans_adopted = static_cast<std::int64_t>(send.replans_adopted());
   return res;
 }
+
+ZooResult run_zoo(const ZooConfig& cfg) { return on_des(run_zoo, cfg); }
 
 }  // namespace partib::bench

@@ -87,6 +87,9 @@ void zoo_arrivals(ZooShape shape, std::size_t n, Duration spread,
                   std::uint64_t seed, int epoch, int total_epochs,
                   Duration* out);
 
-ZooResult run_zoo(ZooConfig cfg);
+/// The trial body, over a caller's backend (bench/trial_world.hpp), and
+/// the same over a fresh DES backend.
+ZooResult run_zoo(backend::Backend& be, const ZooConfig& cfg);
+ZooResult run_zoo(const ZooConfig& cfg);
 
 }  // namespace partib::bench

@@ -33,35 +33,28 @@ ConnectionManager& Rank::connections() {
   return *conn_;
 }
 
-World::World(sim::Engine& engine, WorldOptions options)
-    : engine_(engine), options_(options) {
-  PARTIB_ASSERT(options.ranks > 0);
-  fabric_ = std::make_unique<fabric::Fabric>(engine_, options_.nic,
-                                             options_.copy_data);
-  if (options_.faults.enabled()) {
-    fabric_->set_fault_plan(fabric::FaultPlan(options_.faults));
-  }
-  transport_ = fabric_.get();
-  build_ranks();
+backend::Config backend_config(const WorldOptions& options) {
+  backend::Config cfg;
+  cfg.nic = options.nic;
+  cfg.copy_data = options.copy_data;
+  return cfg;
 }
 
 World::World(backend::Backend& backend, WorldOptions options)
-    : engine_(backend.engine()), options_(options), backend_(&backend) {
+    : backend_(backend),
+      engine_(backend.engine()),
+      transport_(backend.transport()),
+      options_(options) {
   PARTIB_ASSERT(options.ranks > 0);
-  transport_ = &backend.transport();
-  // The backend already installed Config::faults at construction; a
-  // world-level plan (WorldOptions::faults) overrides it so existing
-  // fault tests keep one configuration surface.
+  PARTIB_ASSERT_MSG(options.copy_data == transport_.copies_data(),
+                    "WorldOptions::copy_data disagrees with the backend; "
+                    "build it from mpi::backend_config(options)");
   if (options_.faults.enabled()) {
-    transport_->set_fault_plan(fabric::FaultPlan(options_.faults));
+    transport_.set_fault_plan(fabric::FaultPlan(options_.faults));
   }
-  build_ranks();
-}
-
-void World::build_ranks() {
-  device_ = std::make_unique<verbs::Device>(*transport_);
+  device_ = std::make_unique<verbs::Device>(transport_);
   for (int i = 0; i < options_.ranks; ++i) {
-    const fabric::NodeId node = transport_->add_node();
+    const fabric::NodeId node = transport_.add_node();
     verbs::Context& ctx = device_->open(node);
     ranks_.push_back(std::make_unique<Rank>(*this, i, node, ctx,
                                             options_.cores_per_rank));
@@ -70,8 +63,8 @@ void World::build_ranks() {
 
 void World::send_control(int from, int to, std::function<void()> deliver) {
   PARTIB_ASSERT(from >= 0 && from < size() && to >= 0 && to < size());
-  transport_->send_control(rank(from).node(), rank(to).node(),
-                           std::move(deliver));
+  transport_.send_control(rank(from).node(), rank(to).node(),
+                          std::move(deliver));
 }
 
 }  // namespace partib::mpi

@@ -15,7 +15,8 @@
 #include "backend/backend.hpp"
 #include "common/assert.hpp"
 #include "common/fields.hpp"
-#include "fabric/fabric.hpp"
+#include "fabric/fault.hpp"
+#include "fabric/nic_params.hpp"
 #include "mpi/matcher.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
@@ -81,6 +82,11 @@ void visit_fields(V&& v, S& w) {
     Defaulted{"conn_srq_limit", w.conn_srq_limit, kDefault.conn_srq_limit});
 }
 
+/// The backend configuration a world with `options` runs over: the NIC
+/// model and payload-copy mode.  Faults stay in WorldOptions; the World
+/// constructor installs them.
+backend::Config backend_config(const WorldOptions& options);
+
 class World;
 
 class Rank {
@@ -129,15 +135,12 @@ class Rank {
 
 class World {
  public:
-  /// Classic DES construction: the world builds and owns its own fluid
-  /// fabric on `engine`.  Every pre-backend call site uses this form and
-  /// its timeline is pinned by the figure fingerprints.
-  World(sim::Engine& engine, WorldOptions options);
-  /// Backend construction: run over `backend`'s transport and engine
-  /// (backend/backend.hpp).  The transport may be the DES fabric, the shm
-  /// transport, or anything else satisfying backend::Transport; for
-  /// real-time backends the caller pumps Backend::progress /
-  /// run_until_idle instead of engine().run().
+  /// Run over `backend`'s transport and engine (backend/backend.hpp).  The
+  /// transport may be the DES fabric, the shm transport, or anything else
+  /// satisfying backend::Transport; callers drive progress through
+  /// Backend::run_until_idle / progress.  Build the backend from
+  /// backend_config(options): `options.copy_data` must match the
+  /// transport's, and a fault plan in `options.faults` is installed here.
   World(backend::Backend& backend, WorldOptions options);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -149,12 +152,10 @@ class World {
   }
 
   sim::Engine& engine() { return engine_; }
-  backend::Transport& fab() { return *transport_; }
+  backend::Transport& fab() { return transport_; }
   verbs::Device& device() { return *device_; }
   const WorldOptions& options() const { return options_; }
-  /// The backend this world runs over, nullptr for classic DES
-  /// construction (where the engine reference is the whole story).
-  backend::Backend* backend() { return backend_; }
+  backend::Backend& backend() { return backend_; }
 
   /// Out-of-band control message between ranks; `deliver` runs on the
   /// destination after the control-plane latency.
@@ -168,13 +169,10 @@ class World {
   }
 
  private:
-  void build_ranks();
-
+  backend::Backend& backend_;
   sim::Engine& engine_;
+  backend::Transport& transport_;
   WorldOptions options_;
-  backend::Backend* backend_ = nullptr;        ///< backend ctor only
-  std::unique_ptr<fabric::Fabric> fabric_;     ///< classic ctor only
-  backend::Transport* transport_ = nullptr;    ///< always valid
   std::unique_ptr<verbs::Device> device_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::atomic<int> next_comm_id_{1};

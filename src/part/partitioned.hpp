@@ -2,8 +2,9 @@
 //
 // Quickstart:
 //
-//   sim::Engine engine;
-//   mpi::World world(engine, {.ranks = 2});
+//   const mpi::WorldOptions wopts{.ranks = 2};
+//   backend::DesBackend des(mpi::backend_config(wopts));
+//   mpi::World world(des, wopts);
 //   std::vector<std::byte> sbuf(64 * KiB), rbuf(64 * KiB);
 //
 //   std::unique_ptr<part::PsendRequest> send;
@@ -15,7 +16,7 @@
 //
 //   send->start();  recv->start();
 //   for (std::size_t i = 0; i < 16; ++i) send->pready(i);
-//   engine.run();   // drive the simulated cluster to quiescence
+//   des.run_until_idle();   // drive the simulated cluster to quiescence
 //   assert(send->test() && recv->test());
 #pragma once
 

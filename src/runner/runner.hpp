@@ -1,8 +1,8 @@
 // The parallel experiment runner.
 //
 // A figure benchmark or tuning-table search is hundreds of *independent*
-// DES trials — each builds its own sim::Engine and mpi::World, runs to
-// quiescence, and reduces to a small result struct.  `run_trials` executes
+// DES trials — each builds its own DES backend and mpi::World on it, runs
+// to quiescence, and reduces to a small result struct.  `run_trials` executes
 // such a grid across host cores on a work-stealing pool
 // (runner/thread_pool.hpp) while keeping the three properties the
 // figure pipeline depends on:

@@ -1,6 +1,7 @@
 #include "sim/noise.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/assert.hpp"
 
@@ -18,6 +19,23 @@ ArrivalPattern many_before_one(std::size_t threads, Duration compute,
   ArrivalPattern p(threads, compute);
   p[laggard] = compute + static_cast<Duration>(
                              static_cast<double>(compute) * noise_fraction);
+  return p;
+}
+
+ArrivalPattern jittered_many_before_one(std::size_t threads, Duration compute,
+                                        double noise_fraction,
+                                        Duration jitter_per_thread, Rng& rng) {
+  const auto laggard = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(threads) - 1));
+  ArrivalPattern p =
+      many_before_one(threads, compute, noise_fraction, laggard);
+  const Duration span = jitter_per_thread * static_cast<Duration>(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    if (i != laggard) {
+      p[i] += static_cast<Duration>(
+          rng.uniform(0.0, static_cast<double>(span)));
+    }
+  }
   return p;
 }
 

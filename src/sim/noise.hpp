@@ -27,6 +27,14 @@ ArrivalPattern all_equal(std::size_t threads, Duration compute);
 ArrivalPattern many_before_one(std::size_t threads, Duration compute,
                                double noise_fraction, std::size_t laggard = 0);
 
+/// The figure benchmarks' arrival model: many_before_one with a laggard
+/// drawn uniformly from `rng`, plus scheduler jitter U[0, jitter_per_thread
+/// * threads) on every other thread.  Draws the laggard first, then one
+/// jitter per non-laggard thread in index order.
+ArrivalPattern jittered_many_before_one(std::size_t threads, Duration compute,
+                                        double noise_fraction,
+                                        Duration jitter_per_thread, Rng& rng);
+
 /// Every thread's compute inflated by an independent uniform noise in
 /// [0, noise_fraction].
 ArrivalPattern uniform_noise(std::size_t threads, Duration compute,

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -41,14 +40,6 @@ TEST(BackendRegistry, MakeBackendUnknownNameReportsAndReturnsNull) {
     EXPECT_EQ(check::count_rule("backend.unknown"), 1u);
   }
   check::reset();
-}
-
-TEST(BackendRegistry, DefaultNameComesFromEnvironment) {
-  ::unsetenv("PARTIB_BACKEND");
-  EXPECT_EQ(default_backend_name(), "des");
-  ::setenv("PARTIB_BACKEND", "shm", 1);
-  EXPECT_EQ(default_backend_name(), "shm");
-  ::unsetenv("PARTIB_BACKEND");
 }
 
 TEST(BackendRegistry, FactoriesProduceSelfDescribingBackends) {

@@ -2,7 +2,9 @@
 // (common/fields.hpp) is the only source of the trial fingerprints and the
 // cache codecs.  Pins what those lists must keep bit-identical, checks that
 // every listed leaf enters the hash and every member is listed, and holds
-// the fields that once aliased in the result cache to distinct keys.
+// the fields that once aliased in the result cache to distinct keys.  The
+// last section holds each trial body run over a caller's backend to the
+// same trial run through its `(cfg)` form.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,7 +21,10 @@
 #include <vector>
 
 #include "agg/strategies.hpp"
+#include "backend/backend.hpp"
+#include "backend/des_backend.hpp"
 #include "bench/trial.hpp"
+#include "bench/trial_world.hpp"
 #include "common/fields.hpp"
 #include "common/units.hpp"
 #include "runner/result_cache.hpp"
@@ -349,6 +354,111 @@ TEST_F(TrialCacheTest, FaultedTrialIsNotServedTheFaultFreeResult) {
   ASSERT_EQ(got.size(), 1u);
   const auto codec = overhead_codec();
   EXPECT_EQ(codec.encode(got[0]), codec.encode(run_overhead(dropping())));
+}
+
+// -- the (backend, cfg) trial forms ------------------------------------------
+
+/// Runs a trial body over a caller-built DES backend: the result must
+/// equal the `(cfg)` form's bit for bit, and the caller sees the engine's
+/// work.
+template <typename Config, typename Result>
+void expect_backend_form_matches(
+    const Config& cfg, Result (*run)(backend::Backend&, const Config&),
+    Result (*run_on_des)(const Config&)) {
+  backend::DesBackend be(
+      mpi::backend_config(trial_world(cfg.world, /*ranks=*/1)));
+  const Result got = run(be, cfg);
+  EXPECT_EQ(leaf_bits(got), leaf_bits(run_on_des(cfg)))
+      << runner::fields_codec<Result>().encode(got);
+  EXPECT_GT(be.engine().processed_count(), 0u);
+}
+
+OverheadConfig small_overhead() {
+  OverheadConfig c;
+  c.total_bytes = 64 * KiB;
+  c.user_partitions = 8;
+  c.options = part::Options::defaults();
+  c.iterations = 3;
+  c.warmup = 1;
+  return c;
+}
+
+TEST(TrialForms, BackendFormsMatchConfigForms) {
+  expect_backend_form_matches(small_overhead(), run_overhead, run_overhead);
+
+  PerceivedConfig perceived;
+  perceived.total_bytes = 256 * KiB;
+  perceived.user_partitions = 8;
+  perceived.options = part::Options::defaults();
+  perceived.compute = usec(200);
+  perceived.iterations = 2;
+  perceived.warmup = 1;
+  expect_backend_form_matches(perceived, run_perceived_bandwidth,
+                              run_perceived_bandwidth);
+
+  SweepConfig sweep;
+  sweep.px = 2;
+  sweep.py = 2;
+  sweep.threads = 4;
+  sweep.message_bytes = 64 * KiB;
+  sweep.options = part::Options::defaults();
+  sweep.compute = usec(100);
+  sweep.iterations = 2;
+  sweep.warmup = 1;
+  expect_backend_form_matches(sweep, run_sweep, run_sweep);
+
+  HaloConfig halo;
+  halo.px = 2;
+  halo.py = 2;
+  halo.threads = 4;
+  halo.face_bytes = 64 * KiB;
+  halo.options = part::Options::defaults();
+  halo.compute = usec(100);
+  halo.iterations = 2;
+  halo.warmup = 1;
+  expect_backend_form_matches(halo, run_halo, run_halo);
+
+  ConnScaleConfig connscale;
+  connscale.peers = 3;
+  connscale.options = part::Options::defaults();
+  expect_backend_form_matches(connscale, run_connscale, run_connscale);
+
+  ZooConfig zoo;
+  zoo.shape = ZooShape::kRandomPerm;
+  zoo.seed = 7;
+  zoo.total_bytes = 1 * MiB;
+  zoo.user_partitions = 16;
+  zoo.options = part::Options::defaults();
+  zoo.spread = usec(500);
+  zoo.epochs = 4;
+  zoo.warmup = 1;
+  expect_backend_form_matches(zoo, run_zoo, run_zoo);
+}
+
+TEST(TrialForms, NicRateReachesTheBackend) {
+  // cfg.world.nic must reach the fabric the trial runs on: at half the
+  // link rate every round moves the same bytes more slowly.
+  OverheadConfig fast = small_overhead();
+  fast.total_bytes = 4 * MiB;
+  OverheadConfig slow = fast;
+  slow.world.nic.wire.G *= 2.0;
+  EXPECT_GT(overhead_trial(slow).mean_round, overhead_trial(fast).mean_round);
+}
+
+TEST(TrialForms, OverheadRunsOverTheShmBackend) {
+  // With a static aggregator the WR count is fixed by the plan, not by
+  // timing, so the real-time run must post exactly what the DES run does.
+  OverheadConfig cfg = small_overhead();
+  cfg.options.aggregator = std::make_shared<agg::StaticAggregator>(4, 1);
+  cfg.iterations = 2;
+  backend::Config quiet;
+  quiet.copy_data = false;
+  const auto shm = backend::make_backend("shm", quiet);
+  ASSERT_NE(shm, nullptr);
+  const OverheadResult rt = run_overhead(*shm, cfg);
+  EXPECT_GT(rt.mean_round, 0);
+  EXPECT_EQ(rt.wrs_posted, run_overhead(cfg).wrs_posted);
+  EXPECT_EQ(rt.wrs_posted, 4u * 2u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/test_world.hpp"
 
@@ -22,10 +23,11 @@ TEST(MultiRank, RingOfChannels) {
   constexpr int kRanks = 6;
   constexpr std::size_t kParts = 8;
   constexpr std::size_t kBytes = 32 * KiB;
-  sim::Engine engine;
   mpi::WorldOptions wo;
   wo.ranks = kRanks;
-  mpi::World world(engine, wo);
+  backend::DesBackend des(mpi::backend_config(wo));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, wo);
 
   std::vector<Link> links(kRanks);
   for (int r = 0; r < kRanks; ++r) {
@@ -71,10 +73,11 @@ TEST(MultiRank, FanInManySendersOneReceiver) {
   constexpr int kSenders = 5;
   constexpr std::size_t kParts = 4;
   constexpr std::size_t kBytes = 16 * KiB;
-  sim::Engine engine;
   mpi::WorldOptions wo;
   wo.ranks = kSenders + 1;
-  mpi::World world(engine, wo);
+  backend::DesBackend des(mpi::backend_config(wo));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, wo);
 
   std::vector<Link> links(kSenders);
   for (int s = 0; s < kSenders; ++s) {
@@ -107,8 +110,9 @@ TEST(MultiRank, FanInManySendersOneReceiver) {
 TEST(MultiRank, BidirectionalPairSimultaneously) {
   constexpr std::size_t kParts = 8;
   constexpr std::size_t kBytes = 64 * KiB;
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
 
   Link ab, ba;
   ab.sbuf.resize(kBytes);
@@ -143,8 +147,9 @@ TEST(MultiRank, StaggeredRoundsAcrossChannelsDoNotInterfere) {
   // Channel A runs three rounds while channel B runs one; both share the
   // same pair of ranks and NICs.
   constexpr std::size_t kParts = 4;
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   Link a, b;
   a.sbuf.resize(8 * KiB);
   a.rbuf.resize(8 * KiB);

@@ -2,6 +2,7 @@
 // boundaries a downstream user will eventually push.
 #include <gtest/gtest.h>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/test_world.hpp"
 
@@ -69,8 +70,9 @@ TEST(Stress, TimerWorstCaseEveryPartitionAlone) {
 TEST(Stress, ManyChannelsBetweenOnePair) {
   // 32 concurrent channels over the same two NICs, all active at once.
   constexpr int kChannels = 32;
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   struct Ch {
     std::vector<std::byte> sbuf = std::vector<std::byte>(8 * KiB);
     std::vector<std::byte> rbuf = std::vector<std::byte>(8 * KiB);

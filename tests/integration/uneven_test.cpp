@@ -3,6 +3,7 @@
 // pbuf_prepare and DPU-offloaded aggregation.
 #include <gtest/gtest.h>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/test_world.hpp"
 
@@ -10,7 +11,8 @@ namespace partib::test {
 namespace {
 
 struct UnevenFixture {
-  sim::Engine engine;
+  backend::DesBackend des;
+  sim::Engine& engine;
   mpi::World world;
   std::vector<std::byte> sbuf;
   std::vector<std::byte> rbuf;
@@ -20,7 +22,11 @@ struct UnevenFixture {
   UnevenFixture(std::size_t bytes, std::size_t send_parts,
                 std::size_t recv_parts, mpi::WorldOptions wopts = {},
                 part::Options opts = ploggp_options())
-      : world(engine, wopts), sbuf(bytes), rbuf(bytes) {
+      : des(mpi::backend_config(wopts)),
+        engine(des.engine()),
+        world(des, wopts),
+        sbuf(bytes),
+        rbuf(bytes) {
     PARTIB_ASSERT(partib::ok(part::psend_init(world.rank(0), sbuf,
                                               send_parts, 1, 0, 0, opts,
                                               &send)));
@@ -100,8 +106,9 @@ TEST(Uneven, MultipleRoundsResetByteAccounting) {
 }
 
 TEST(PbufPrepare, FiresAfterHandshake) {
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> sbuf(4 * KiB), rbuf(4 * KiB);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
@@ -155,8 +162,9 @@ TEST(DpuOffload, HostKeepsOnlyFlagCost) {
 TEST(DpuOffload, BaselineUcxPathStaysOnHost) {
   mpi::WorldOptions wopts;
   wopts.dpu_aggregation = true;
-  sim::Engine engine;
-  mpi::World world(engine, wopts);
+  backend::DesBackend des(mpi::backend_config(wopts));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, wopts);
   std::vector<std::byte> sbuf(16 * KiB), rbuf(16 * KiB);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;

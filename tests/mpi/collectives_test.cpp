@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/p2p.hpp"
 #include "mpi/world.hpp"
@@ -13,12 +14,13 @@ namespace partib::mpi {
 namespace {
 
 struct Fx {
-  sim::Engine engine;
+  backend::DesBackend des{backend_config({})};
+  sim::Engine& engine = des.engine();
   mpi::World world;
   std::vector<std::unique_ptr<P2pEndpoint>> eps;
   std::vector<std::unique_ptr<Collectives>> colls;
 
-  explicit Fx(int ranks) : world(engine, make(ranks)) {
+  explicit Fx(int ranks) : world(des, make(ranks)) {
     for (int i = 0; i < ranks; ++i) {
       eps.push_back(std::make_unique<P2pEndpoint>(world.rank(i)));
       colls.push_back(std::make_unique<Collectives>(*eps.back()));

@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "check/check.hpp"
 #include "mpi/conn.hpp"
 #include "mpi/world.hpp"
@@ -30,7 +31,8 @@ int scan_established(ConnectionManager& mgr) {
 }
 
 struct Fx {
-  sim::Engine engine;
+  backend::DesBackend des{backend_config({})};
+  sim::Engine& engine = des.engine();
   WorldOptions opts;
   std::unique_ptr<World> world;
 
@@ -41,7 +43,7 @@ struct Fx {
     opts.conn_srq_capacity = 64;
     opts.conn_srq_limit = 8;
     opts.cq_depth = 1024;
-    world = std::make_unique<World>(engine, opts);
+    world = std::make_unique<World>(des, opts);
   }
 
   /// Passive side expects `token`; active side connects; run to quiescence.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "mpi/p2p.hpp"
 #include "mpi/world.hpp"
@@ -23,11 +24,12 @@ std::vector<std::byte> pattern(std::size_t n, int seed) {
 }
 
 struct Fx {
-  sim::Engine engine;
+  backend::DesBackend des{backend_config({})};
+  sim::Engine& engine = des.engine();
   mpi::World world;
   std::vector<std::unique_ptr<P2pEndpoint>> eps;
 
-  explicit Fx(int ranks = 2) : world(engine, make_options(ranks)) {
+  explicit Fx(int ranks = 2) : world(des, make_options(ranks)) {
     for (int i = 0; i < ranks; ++i) {
       eps.push_back(std::make_unique<P2pEndpoint>(world.rank(i)));
     }

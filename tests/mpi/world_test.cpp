@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "mpi/world.hpp"
 #include "sim/engine.hpp"
 
@@ -11,10 +12,10 @@ namespace partib::mpi {
 namespace {
 
 TEST(World, RanksGetDistinctNodesAndIds) {
-  sim::Engine engine;
   WorldOptions o;
   o.ranks = 4;
-  World world(engine, o);
+  backend::DesBackend des(backend_config(o));
+  World world(des, o);
   ASSERT_EQ(world.size(), 4);
   std::vector<fabric::NodeId> nodes;
   for (int i = 0; i < 4; ++i) {
@@ -26,71 +27,110 @@ TEST(World, RanksGetDistinctNodesAndIds) {
 }
 
 TEST(World, CpuUsesConfiguredCoreCount) {
-  sim::Engine engine;
   WorldOptions o;
   o.cores_per_rank = 12;
-  World world(engine, o);
+  backend::DesBackend des(backend_config(o));
+  World world(des, o);
   EXPECT_EQ(world.rank(0).cpu().cores(), 12);
 }
 
 TEST(World, ControlMessagesArriveWithControlLatency) {
-  sim::Engine engine;
   WorldOptions o;
-  World world(engine, o);
+  backend::DesBackend des(backend_config(o));
+  World world(des, o);
   Time delivered = -1;
-  world.send_control(0, 1, [&] { delivered = engine.now(); });
-  engine.run();
+  world.send_control(0, 1, [&] { delivered = des.now(); });
+  des.run_until_idle();
   EXPECT_EQ(delivered, o.nic.wire.L + o.nic.ctrl_overhead);
 }
 
 TEST(World, ControlMessagesPreserveOrderPerPair) {
-  sim::Engine engine;
-  World world(engine, {});
+  backend::DesBackend des(backend_config({}));
+  World world(des, {});
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     world.send_control(0, 1, [&order, i] { order.push_back(i); });
   }
-  engine.run();
+  des.run_until_idle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(World, CommIdsMonotonic) {
-  sim::Engine engine;
-  World world(engine, {});
+  backend::DesBackend des(backend_config({}));
+  World world(des, {});
   const int a = world.next_comm_id();
   const int b = world.next_comm_id();
   EXPECT_LT(a, b);
 }
 
 TEST(World, DpuResourceOnlyWhenEnabled) {
-  sim::Engine engine;
+  backend::DesBackend des(backend_config({}));
   WorldOptions off;
-  World w1(engine, off);
+  World w1(des, off);
   EXPECT_EQ(w1.rank(0).dpu(), nullptr);
   WorldOptions on;
   on.dpu_aggregation = true;
-  World w2(engine, on);
+  World w2(des, on);
   EXPECT_NE(w2.rank(0).dpu(), nullptr);
 }
 
 TEST(World, FabricSharedAcrossRanks) {
-  sim::Engine engine;
   WorldOptions o;
   o.ranks = 3;
-  World world(engine, o);
+  backend::DesBackend des(backend_config(o));
+  World world(des, o);
   EXPECT_EQ(world.fab().node_count(), 3);
+  EXPECT_EQ(&world.fab(), &des.transport());
+  EXPECT_EQ(&world.engine(), &des.engine());
+  EXPECT_EQ(&world.backend(), &des);
   EXPECT_EQ(&world.rank(0).world(), &world);
 }
 
 TEST(World, DoorbellIsPerRank) {
-  sim::Engine engine;
   WorldOptions o;
   o.ranks = 2;
-  World world(engine, o);
+  backend::DesBackend des(backend_config(o));
+  World world(des, o);
   world.rank(0).doorbell().request(100, [](Time, Time) {});
-  engine.run();
+  des.run_until_idle();
   EXPECT_EQ(world.rank(0).doorbell().busy_time(), 100);
   EXPECT_EQ(world.rank(1).doorbell().busy_time(), 0);
+}
+
+TEST(World, BackendConfigCarriesNicAndCopyMode) {
+  WorldOptions o;
+  o.nic.wire.G *= 2.0;  // half the link rate
+  o.copy_data = false;
+  o.faults.drop_rate = 0.5;
+  const backend::Config c = backend_config(o);
+  EXPECT_EQ(c.nic.wire.G, o.nic.wire.G);
+  EXPECT_FALSE(c.copy_data);
+  // Faults are installed by the World constructor, not the backend.
+  EXPECT_FALSE(c.faults.enabled());
+  backend::DesBackend des(c);
+  World world(des, o);
+  EXPECT_FALSE(des.transport().copies_data());
+  EXPECT_EQ(des.transport().fault_plan().config().drop_rate, 0.5);
+}
+
+TEST(WorldDeath, CopyModeMustMatchTheBackend) {
+  // A benchmark world (copy_data = false) over a default backend would
+  // copy payload bytes it never asked for, into buffers that may not be
+  // mapped; the constructor refuses the pair.
+  WorldOptions quiet;
+  quiet.copy_data = false;
+  EXPECT_DEATH(
+      {
+        backend::DesBackend des(backend::Config{});
+        World world(des, quiet);
+      },
+      "copy_data disagrees with the backend");
+  EXPECT_DEATH(
+      {
+        backend::DesBackend des(backend_config(quiet));
+        World world(des, WorldOptions{});
+      },
+      "copy_data disagrees with the backend");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // integrity, restart semantics, and aggregation behaviour on the wire.
 #include <gtest/gtest.h>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/backend_fixture.hpp"
 #include "support/test_world.hpp"
@@ -11,9 +12,9 @@ namespace {
 
 // End-to-end channel behaviour is transport-independent, so the fixture
 // suite runs over every conformance backend.  The two matcher-ordering
-// tests at the bottom construct a classic DES world directly and stay
-// DES-only under a separate suite name (gtest forbids mixing TEST and
-// TEST_P in one suite).
+// tests at the bottom build a DES world directly and stay DES-only under
+// a separate suite name (gtest forbids mixing TEST and TEST_P in one
+// suite).
 using Channel = test::BackendTest;
 
 TEST_P(Channel, SingleRoundDeliversData) {
@@ -170,8 +171,9 @@ TEST_P(Channel, RecvCompletionNotBeforeSendCompletion) {
 
 TEST(ChannelMatching, ReverseInitOrderStillMatches) {
   // Precv_init first, Psend_init second (matcher queues the recv side).
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> sbuf(16 * KiB), rbuf(16 * KiB);
   std::unique_ptr<part::PrecvRequest> recv;
   std::unique_ptr<part::PsendRequest> send;
@@ -189,8 +191,9 @@ TEST(ChannelMatching, ReverseInitOrderStillMatches) {
 TEST(ChannelMatching, TwoChannelsSameTagMatchInOrder) {
   // Two Psend_init/Precv_init pairs with identical (src, tag, comm) must
   // match in posted order (MPI Partitioned ordering rule).
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> s1(4 * KiB), s2(8 * KiB);
   std::vector<std::byte> r1(4 * KiB), r2(8 * KiB);
   std::unique_ptr<part::PsendRequest> send1, send2;

@@ -3,6 +3,7 @@
 // wildcards, no double Pready, power-of-two geometry, ...).
 #include <gtest/gtest.h>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/backend_fixture.hpp"
 #include "support/test_world.hpp"
@@ -174,8 +175,9 @@ TEST(GeometryDeath, GeometryMismatchAborts) {
   // Sender and receiver disagreeing on the *total buffer size* is a fatal
   // program error.  (Differing partition counts are legal per MPI-4.0 and
   // exercised in integration/uneven_test.cpp.)
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> sbuf(16 * KiB), rbuf(32 * KiB);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "check/check.hpp"
 #include "common/units.hpp"
 #include "mpi/conn.hpp"
@@ -79,7 +80,8 @@ TEST(SharedMode, MatchesDedicatedModeResults) {
 
 /// N senders fanning into rank 0, one channel per sender.
 struct IncastFixture {
-  sim::Engine engine;
+  backend::DesBackend des{mpi::backend_config({})};
+  sim::Engine& engine = des.engine();
   std::unique_ptr<mpi::World> world;
   std::vector<std::vector<std::byte>> sbufs;
   std::vector<std::vector<std::byte>> rbufs;
@@ -90,7 +92,7 @@ struct IncastFixture {
                 const part::Options& opts) {
     mpi::WorldOptions wopts;
     wopts.ranks = peers + 1;
-    world = std::make_unique<mpi::World>(engine, wopts);
+    world = std::make_unique<mpi::World>(des, wopts);
     sbufs.resize(static_cast<std::size_t>(peers));
     rbufs.resize(static_cast<std::size_t>(peers));
     for (int p = 0; p < peers; ++p) {

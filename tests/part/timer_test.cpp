@@ -5,6 +5,7 @@
 // the whole group.
 #include <gtest/gtest.h>
 
+#include "backend/des_backend.hpp"
 #include "common/units.hpp"
 #include "support/test_world.hpp"
 
@@ -189,8 +190,9 @@ TEST(TimerAgg, SecondRoundTimerStateResets) {
 TEST(TimerAgg, MultipleGroupsArmIndependentTimers) {
   // 8 partitions in 2 transport groups of 4.  Group 0 completes early
   // (one WR); group 1 is flushed by its own deadline.
-  sim::Engine engine;
-  mpi::World world(engine, {});
+  backend::DesBackend des(mpi::backend_config({}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, {});
   std::vector<std::byte> sbuf(8 * KiB), rbuf(8 * KiB);
   part::Options opts;
   opts.aggregator = std::make_shared<agg::TimerPLogGPAggregator>(

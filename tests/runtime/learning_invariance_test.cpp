@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
 #include "runtime/bridge.hpp"
@@ -68,8 +69,9 @@ PlanSnapshot run_with_producers(int producers) {
   cfg.quantum = msec(1);
   part::Options opts = test::learning_options(msec(4), cfg);
 
-  sim::Engine engine;
-  mpi::World world(engine, mpi::WorldOptions{});
+  backend::DesBackend des(mpi::backend_config(mpi::WorldOptions{}));
+  sim::Engine& engine = des.engine();
+  mpi::World world(des, mpi::WorldOptions{});
   std::vector<std::byte> sbuf(kPartitions * kPartitionBytes);
   std::vector<std::byte> rbuf(kPartitions * kPartitionBytes);
   std::unique_ptr<part::PsendRequest> send;

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/des_backend.hpp"
 #include "check/check.hpp"
 #include "check/concurrency_check.hpp"
 #include "mpi/world.hpp"
@@ -72,15 +73,15 @@ Geometry random_geometry(std::mt19937& rng) {
 
 /// N identical channels rank0 -> rank1 on one world, distinct tags.
 struct MultiChannel {
-  sim::Engine engine;
-  std::unique_ptr<mpi::World> world;
+  backend::DesBackend des{mpi::backend_config({})};
+  sim::Engine& engine = des.engine();
+  mpi::World world{des, {}};
   std::vector<std::vector<std::byte>> sbufs;
   std::vector<std::vector<std::byte>> rbufs;
   std::vector<std::unique_ptr<part::PsendRequest>> sends;
   std::vector<std::unique_ptr<part::PrecvRequest>> recvs;
 
   explicit MultiChannel(const Geometry& g) {
-    world = std::make_unique<mpi::World>(engine, mpi::WorldOptions{});
     const part::Options opts =
         test::static_options(g.tp, g.qps);
     const std::size_t bytes = g.partitions * g.psize;
@@ -91,11 +92,11 @@ struct MultiChannel {
     for (std::size_t c = 0; c < g.channels; ++c) {
       sbufs[c].resize(bytes);
       rbufs[c].resize(bytes);
-      PARTIB_ASSERT(ok(part::psend_init(world->rank(0), sbufs[c],
+      PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbufs[c],
                                         g.partitions, /*dst=*/1,
                                         /*tag=*/static_cast<int>(c),
                                         /*comm=*/0, opts, &sends[c])));
-      PARTIB_ASSERT(ok(part::precv_init(world->rank(1), rbufs[c],
+      PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbufs[c],
                                         g.partitions, /*src=*/0,
                                         /*tag=*/static_cast<int>(c),
                                         /*comm=*/0, opts, &recvs[c])));

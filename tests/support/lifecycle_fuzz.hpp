@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "backend/des_backend.hpp"
 #include "check/check.hpp"
 #include "check/determinism.hpp"
 #include "common/units.hpp"
@@ -145,7 +146,8 @@ inline part::Options perturbed_learning_options(sim::Rng& rng) {
 /// completions (quiescence), deliver them to the wrong channel (exact
 /// bytes), or perturb replay (fingerprint).
 struct SharedSiblingFixture {
-  sim::Engine engine;
+  backend::DesBackend des;
+  sim::Engine& engine;
   std::unique_ptr<mpi::World> world;
   std::vector<std::byte> sbuf[2];
   std::vector<std::byte> rbuf[2];
@@ -153,10 +155,11 @@ struct SharedSiblingFixture {
   std::unique_ptr<part::PrecvRequest> recv[2];
 
   SharedSiblingFixture(std::size_t bytes, std::size_t partitions,
-                       part::Options opts, mpi::WorldOptions wopts) {
+                       part::Options opts, mpi::WorldOptions wopts)
+      : des(mpi::backend_config(wopts)), engine(des.engine()) {
     opts.shared_resources = true;
     wopts.ranks = 3;
-    world = std::make_unique<mpi::World>(engine, wopts);
+    world = std::make_unique<mpi::World>(des, wopts);
     for (int c = 0; c < 2; ++c) {
       sbuf[c].resize(bytes);
       rbuf[c].resize(bytes);

@@ -31,11 +31,9 @@ inline bool buffers_equal(const std::vector<std::byte>& a,
 
 struct ChannelFixture {
   /// Backend selected via current_backend() ("des" unless a
-  /// backend-parameterized suite chose otherwise).  Declared before
-  /// `engine`, which is a reference into it.  On "des" the construction
-  /// sequence (engine, then fabric on it) is identical to the pre-backend
-  /// fixture, so every DES timeline — including the pinned figure
-  /// fingerprints — is unchanged.
+  /// backend-parameterized suite chose otherwise), built from the world
+  /// options through mpi::backend_config.  Declared before `engine`,
+  /// which is a reference into it.
   std::unique_ptr<backend::Backend> backend;
   sim::Engine& engine;
   std::unique_ptr<mpi::World> world;
@@ -49,19 +47,10 @@ struct ChannelFixture {
     return *be;
   }
 
-  static backend::Config backend_config(const mpi::WorldOptions& wopts) {
-    backend::Config cfg;
-    cfg.nic = wopts.nic;
-    cfg.copy_data = wopts.copy_data;
-    // Faults stay in WorldOptions: the World ctor installs them on the
-    // backend's transport, same single configuration surface as before.
-    return cfg;
-  }
-
   ChannelFixture(std::size_t bytes, std::size_t partitions,
                  const part::Options& opts, mpi::WorldOptions wopts = {})
       : backend(backend::make_backend(current_backend(),
-                                      backend_config(wopts))),
+                                      mpi::backend_config(wopts))),
         engine(checked(backend).engine()) {
     world = std::make_unique<mpi::World>(*backend, wopts);
     sbuf.resize(bytes);
