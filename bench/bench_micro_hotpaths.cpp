@@ -17,6 +17,7 @@
 #include "common/atomic_bits.hpp"
 #include "common/units.hpp"
 #include "model/arrival_plan.hpp"
+#include "model/loggp.hpp"
 #include "part/arrival_profile.hpp"
 #include "fabric/fluid_network.hpp"
 #include "mpi/conn.hpp"
@@ -304,6 +305,39 @@ void BM_ShmRingRoundtrip(benchmark::State& state) {
                           256);
 }
 BENCHMARK(BM_ShmRingRoundtrip);
+
+void BM_ShmSmallRound(benchmark::State& state) {
+  // One 32 x 64 B partitioned round over the real-time shm backend, the
+  // small-message block of perfbench's shm-rt workload: Start both sides,
+  // Pready every partition, drain.  The PLogGP aggregator's host-cost
+  // timers are sub-microsecond, so the round is dominated by how the
+  // pump waits on them (docs/BACKENDS.md, progress discipline).
+  auto be = backend::make_backend("shm");
+  PARTIB_ASSERT(be != nullptr);
+  mpi::World world(*be, {});
+  std::vector<std::byte> sbuf(32 * 64), rbuf(32 * 64);
+  part::Options opts;
+  opts.aggregator = std::make_shared<agg::PLogGPAggregator>(
+      model::LogGPParams::niagara_mpi_measured());
+  std::unique_ptr<part::PsendRequest> send;
+  std::unique_ptr<part::PrecvRequest> recv;
+  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbuf, 32, 1, 0, 0, opts,
+                                    &send)));
+  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbuf, 32, 0, 0, 0, opts,
+                                    &recv)));
+  be->run_until_idle();  // handshake
+  for (auto _ : state) {
+    PARTIB_ASSERT(ok(send->start()));
+    PARTIB_ASSERT(ok(recv->start()));
+    for (std::size_t i = 0; i < 32; ++i) {
+      PARTIB_ASSERT(ok(send->pready(i)));
+    }
+    be->run_until_idle();
+    PARTIB_ASSERT(send->test() && recv->test());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_ShmSmallRound);
 
 void BM_CqPollBurst(benchmark::State& state) {
   // Raw CQE fan-through: push a completion wave, drain it in 16-entry

@@ -45,9 +45,6 @@ struct Config {
   fabric::FaultPlanConfig faults{};
   /// shm: capacity (records) of each per-peer wire/ack ring.
   std::size_t shm_ring_capacity = 1024;
-  /// shm: idle backoff before re-polling when a progress pass moved
-  /// nothing and no timer is due (0 = spin).
-  Duration shm_idle_backoff = usec(2);
 };
 
 class Backend {

@@ -1,7 +1,9 @@
 #include "backend/shm/shm_backend.hpp"
 
-#include <ctime>
+#include <algorithm>
+#include <limits>
 
+#include "common/clock.hpp"
 #include "common/diag.hpp"
 
 namespace partib::backend {
@@ -15,19 +17,20 @@ ShmTransportOptions transport_options(const Config& config) {
   return o;
 }
 
-void backoff_sleep(Duration d) {
-  if (d <= 0) return;  // spin
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(d / kSecond);
-  ts.tv_nsec = static_cast<long>(d % kSecond);
-  nanosleep(&ts, nullptr);
-}
+// How far ahead of a deadline the pump stops sleeping and busy-polls.
+// A sleep overshoots by the kernel's timer slack (50 us by default on
+// Linux), so any wait shorter than about twice that is cheaper to spin
+// through than to sleep, and a longer one sleeps to this far short of the
+// deadline, then spins the rest.  A constant rather than a knob: it is a
+// property of the kernel's timer, not of the workload.
+constexpr Duration kSpinHorizon = usec(100);
+
+constexpr Time kNever = std::numeric_limits<Time>::max();
 
 }  // namespace
 
 ShmBackend::ShmBackend(const Config& config)
-    : transport_(transport_options(config)),
-      idle_backoff_(config.shm_idle_backoff) {
+    : transport_(transport_options(config)) {
   if (config.faults.enabled()) {
     transport_.set_fault_plan(fabric::FaultPlan(config.faults));
   }
@@ -51,9 +54,19 @@ std::size_t ShmBackend::run_until_idle() {
     dispatched += engine_.run_until(t);
     const std::size_t moved = transport_.progress_all(t);
     if (engine_.empty() && transport_.idle()) break;
-    // Pending but nothing due yet (a future timer or a fault hold):
-    // real time has to pass, so yield rather than burn the core.
-    if (moved == 0) backoff_sleep(idle_backoff_);
+    if (moved != 0) continue;
+    // Nothing moved: real time has to pass until the next timer or
+    // fault hold.  Poll through short waits; sleep through long ones.
+    // At least one side is pending (else the loop has ended), and the
+    // transport reports `t` for anything it cannot see a deadline for.
+    const Time due =
+        std::min(engine_.next_time_bound().value_or(kNever),
+                 transport_.next_due(t).value_or(kNever));
+    if (due - t > kSpinHorizon) {
+      transport_.sleep_until(due - kSpinHorizon);
+    } else {
+      common::cpu_relax();
+    }
   }
   return dispatched;
 }

@@ -6,7 +6,10 @@
 // under DES, but here the engine's clock is slaved to the monotonic clock
 // — every progress pass runs engine.run_until(mono_elapsed) and then
 // polls the shm rings.  Elapsed nanoseconds are real nanoseconds; nothing
-// is simulated.
+// is simulated.  A pass that moves nothing waits for the next deadline
+// (engine timer or transport fault hold): it busy-polls when that is
+// close and sleeps when it is far (docs/BACKENDS.md, progress
+// discipline).
 //
 // Threading: this backend is a single-driver real-time pump — one thread
 // owns the engine, all verbs objects and every node's progress (the
@@ -39,7 +42,6 @@ class ShmBackend final : public Backend {
  private:
   sim::Engine engine_;
   ShmTransport transport_;
-  Duration idle_backoff_;
 };
 
 }  // namespace partib::backend

@@ -1,5 +1,6 @@
 #include "backend/shm/shm_transport.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -162,6 +163,7 @@ void ShmTransport::send_control(fabric::NodeId src, fabric::NodeId dst,
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   common::MutexLock lock(*d.ctrl_mu);
   d.ctrl.push_back(std::move(deliver));
+  d.ctrl_pending.store(d.ctrl.size(), std::memory_order_release);
 }
 
 void ShmTransport::set_fault_plan(const fabric::FaultPlan& plan) {
@@ -247,15 +249,20 @@ std::size_t ShmTransport::progress_node(fabric::NodeId id, Time now) {
 
   // 5. Control mailbox.  Swap out under the lock, run outside it — a
   // control handler may send more control (connection setup chains).
-  std::deque<std::function<void()>> batch;
-  {
-    common::MutexLock lock(*node.ctrl_mu);
-    batch.swap(node.ctrl);
-  }
-  for (auto& fn : batch) {
-    fn();
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    ++actions;
+  // An empty mailbox costs one acquire load: a message that lands just
+  // after it reads zero is picked up by the next pass.
+  if (node.ctrl_pending.load(std::memory_order_acquire) != 0) {
+    {
+      common::MutexLock lock(*node.ctrl_mu);
+      node.ctrl_batch.swap(node.ctrl);
+      node.ctrl_pending.store(0, std::memory_order_release);
+    }
+    for (auto& fn : node.ctrl_batch) {
+      fn();
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      ++actions;
+    }
+    node.ctrl_batch.clear();
   }
 
   return actions;
@@ -265,6 +272,31 @@ std::size_t ShmTransport::progress_all(Time now) {
   std::size_t actions = 0;
   for (int i = 0; i < node_count(); ++i) actions += progress_node(i, now);
   return actions;
+}
+
+std::optional<Time> ShmTransport::next_due(Time now) const {
+  if (idle()) return std::nullopt;
+  std::optional<Time> due;
+  auto hold = [&due](Time t) {
+    if (!due || t < *due) due = t;
+  };
+  for (const auto& n : nodes_) {
+    if (n->ctrl_pending.load(std::memory_order_acquire) != 0) return now;
+    for (const auto& staged : n->staged) {
+      if (!staged.empty()) return now;
+    }
+    // FIFO by due time, so the head is the earliest.
+    if (!n->fails.empty()) hold(n->fails.front().due);
+  }
+  for (const auto& row : channels_) {
+    for (const auto& ch : row) {
+      if (ch->ack.front() != nullptr) return now;
+      if (OpRec* const* head = ch->wire.front()) hold((*head)->not_before);
+    }
+  }
+  // Outstanding but invisible here (a foreign thread's message still on
+  // its way): only polling finds it.
+  return due ? std::max(*due, now) : now;
 }
 
 bool ShmTransport::idle() const {

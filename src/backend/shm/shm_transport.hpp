@@ -42,6 +42,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -100,6 +101,9 @@ class ShmTransport final : public Transport {
   /// Nanoseconds since transport construction on the monotonic clock.
   Time now() const { return common::mono_now() - epoch_; }
 
+  /// Block the calling thread until now() reads at least `t`.
+  void sleep_until(Time t) const { common::mono_sleep_until(t + epoch_); }
+
   /// One progress pass for `node`, on its owner thread: fire due local
   /// failures, stage ops onto wire rings, deliver due inbound ops, drain
   /// acks and control.  Returns the number of actions taken (0 = idle
@@ -108,6 +112,13 @@ class ShmTransport final : public Transport {
 
   /// Single-driver convenience: progress every node once.
   std::size_t progress_all(Time now);
+
+  /// The earliest time a progress pass can move something: `now` when
+  /// something is movable already, else the earliest fault hold (the
+  /// `not_before` of a blocked wire-ring head) or pending local-failure
+  /// `due`; nullopt when nothing is outstanding.  Reads every ring as
+  /// its consumer, so like progress_all it belongs to the single driver.
+  std::optional<Time> next_due(Time now) const;
 
   /// True when no op, ack, failure or control message is outstanding
   /// anywhere.  Exact only when the callers' threads are quiescent or the
@@ -153,6 +164,12 @@ class ShmTransport final : public Transport {
     /// Inbound control mailbox (any producer, owner-thread consumer).
     std::unique_ptr<common::Mutex> ctrl_mu;
     std::deque<std::function<void()>> ctrl;
+    /// ctrl.size(), stored under ctrl_mu with release and loaded without
+    /// it (acquire), so a pass with an empty mailbox takes no lock.
+    std::atomic<std::size_t> ctrl_pending{0};
+    /// Owner-thread deque the mailbox is swapped into and run from.
+    /// Reused, so a pass allocates nothing once both deques have grown.
+    std::deque<std::function<void()>> ctrl_batch;
     // Node-local counters (owner-thread writes, relaxed); stats()
     // aggregates across nodes.
     std::atomic<std::uint64_t> rdma_ops{0};

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -132,6 +133,23 @@ class Engine {
   bool empty() const { return live_ == 0; }
   std::size_t pending() const { return live_; }
   std::uint64_t processed_count() const { return processed_; }
+
+  /// A lower bound on the earliest pending event's time, or nullopt when
+  /// nothing is pending.  O(1) and const: it reads the radix structure
+  /// without settling it (`last_` never moves), so every schedule_at that
+  /// was legal before the call stays legal after it.  Cancelled entries
+  /// still filed can only make the bound earlier, never later.  Real-time
+  /// backends use it to decide how long their pump may wait.
+  std::optional<Time> next_time_bound() const {
+    if (live_ == 0) return std::nullopt;
+    // Bucket 0 holds keys equal to `last_`, the lowest any key can be.
+    // Otherwise buckets order their keys (every key in bucket b is below
+    // every key in bucket b+1), so the lowest occupied one bounds them
+    // all; a live event is filed somewhere, so one is occupied.
+    if (buckets_[0].head != kNil) return last_;
+    const std::uint64_t upper = occupied_ & ~std::uint64_t{1};
+    return buckets_[static_cast<unsigned>(std::countr_zero(upper))].min;
+  }
 
   /// Install (or clear, with nullptr) the dispatch observer.
   void set_dispatch_observer(DispatchObserver obs) {

@@ -3,6 +3,9 @@
 // invariants are load-bearing for the whole reproduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -168,6 +171,90 @@ TEST(Engine, ZeroDelayEventRunsAtCurrentTime) {
   });
   e.run();
   EXPECT_EQ(seen, 42);
+}
+
+// -- next_time_bound: the real-time pump's O(1) deadline query -------------
+
+TEST(EngineTimeBound, EmptyEngineReportsNoDeadline) {
+  Engine e;
+  EXPECT_EQ(e.next_time_bound(), std::nullopt);
+  e.schedule_at(5, [] {});
+  e.run();
+  EXPECT_EQ(e.next_time_bound(), std::nullopt);
+}
+
+TEST(EngineTimeBound, BoundNeverExceedsEarliestLiveKey) {
+  // Spread keys over many radix buckets and interleave partial drains,
+  // cancels and fresh schedules; after every step the bound must not
+  // pass the true earliest live key.
+  Engine e;
+  std::vector<std::pair<Time, Engine::EventId>> live;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  auto check_bound = [&] {
+    if (live.empty()) {
+      EXPECT_EQ(e.next_time_bound(), std::nullopt);
+      return;
+    }
+    Time earliest = live.front().first;
+    for (const auto& p : live) earliest = std::min(earliest, p.first);
+    const std::optional<Time> bound = e.next_time_bound();
+    ASSERT_TRUE(bound.has_value());
+    EXPECT_LE(*bound, earliest);
+  };
+  for (int round = 0; round < 64; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      const Time t = e.now() + static_cast<Time>(next() % (1u << 20));
+      live.emplace_back(t, e.schedule_at(t, [] {}));
+    }
+    check_bound();
+    for (int i = 0; i < 4 && !live.empty(); ++i) {
+      const std::size_t k = next() % live.size();
+      EXPECT_TRUE(e.cancel(live[k].second));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      check_bound();
+    }
+    e.run_until(e.now() + static_cast<Time>(next() % (1u << 18)));
+    std::erase_if(live, [&](const auto& p) { return p.first <= e.now(); });
+    check_bound();
+  }
+}
+
+TEST(EngineTimeBound, CancellingTheMinimumKeepsABoundOnTheNext) {
+  Engine e;
+  const Engine::EventId first = e.schedule_at(100, [] {});
+  e.schedule_at(300, [] {});
+  e.schedule_at(200, [] {});
+  EXPECT_LE(e.next_time_bound().value(), 100);
+  ASSERT_TRUE(e.cancel(first));
+  // The tombstone may keep the bound at 100; it must not pass 200.
+  EXPECT_LE(e.next_time_bound().value(), 200);
+  e.run_until(150);
+  EXPECT_LE(e.next_time_bound().value(), 200);
+  EXPECT_EQ(e.pending(), 2u);
+}
+
+TEST(EngineTimeBound, QueryLeavesScheduleAtNowLegalAndOrdered) {
+  // After run_until(150) the radix base sits at the last key popped
+  // (100) while the next live key is 200.  A query that settled the
+  // heap would raise the base to 200 and make schedule_at(150) assert.
+  Engine e;
+  std::vector<std::pair<Time, int>> order;
+  e.schedule_at(100, [&] { order.emplace_back(e.now(), 0); });
+  e.schedule_at(200, [&] { order.emplace_back(e.now(), 1); });
+  EXPECT_EQ(e.run_until(150), 1u);
+  EXPECT_EQ(e.next_time_bound(), std::optional<Time>(200));
+  e.schedule_at(e.now(), [&] { order.emplace_back(e.now(), 2); });
+  e.schedule_at(e.now(), [&] { order.emplace_back(e.now(), 3); });
+  EXPECT_EQ(e.next_time_bound(), std::optional<Time>(150));
+  e.run();
+  EXPECT_EQ(order, (std::vector<std::pair<Time, int>>{
+                       {100, 0}, {150, 2}, {150, 3}, {200, 1}}));
 }
 
 }  // namespace
