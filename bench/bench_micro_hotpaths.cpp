@@ -306,16 +306,15 @@ void BM_ShmRingRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ShmRingRoundtrip);
 
-void BM_ShmSmallRound(benchmark::State& state) {
-  // One 32 x 64 B partitioned round over the real-time shm backend, the
-  // small-message block of perfbench's shm-rt workload: Start both sides,
-  // Pready every partition, drain.  The PLogGP aggregator's host-cost
-  // timers are sub-microsecond, so the round is dominated by how the
-  // pump waits on them (docs/BACKENDS.md, progress discipline).
+/// Partitioned rounds over the real-time shm backend, the blocks of
+/// perfbench's shm-rt workload: 32 partitions from rank 0 to rank 1,
+/// PLogGP aggregator, copy_data on.  Start both sides, Pready every
+/// partition, drain.
+void shm_rounds(benchmark::State& state, std::size_t partition_bytes) {
   auto be = backend::make_backend("shm");
   PARTIB_ASSERT(be != nullptr);
   mpi::World world(*be, {});
-  std::vector<std::byte> sbuf(32 * 64), rbuf(32 * 64);
+  std::vector<std::byte> sbuf(32 * partition_bytes), rbuf(sbuf.size());
   part::Options opts;
   opts.aggregator = std::make_shared<agg::PLogGPAggregator>(
       model::LogGPParams::niagara_mpi_measured());
@@ -337,7 +336,22 @@ void BM_ShmSmallRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
+
+void BM_ShmSmallRound(benchmark::State& state) {
+  // 32 x 64 B: the PLogGP aggregator's host-cost timers are
+  // sub-microsecond, so the round is dominated by how the pump waits on
+  // them (docs/BACKENDS.md, progress discipline).
+  shm_rounds(state, 64);
+}
 BENCHMARK(BM_ShmSmallRound);
+
+void BM_ShmLargeRound(benchmark::State& state) {
+  // 32 x 64 KiB: 2 MiB of payload per round, delivered as writes large
+  // enough for the transport's DMA engine to split across its helper
+  // threads (docs/BACKENDS.md, DMA engine).
+  shm_rounds(state, 64 * KiB);
+}
+BENCHMARK(BM_ShmLargeRound);
 
 void BM_CqPollBurst(benchmark::State& state) {
   // Raw CQE fan-through: push a completion wave, drain it in 16-entry

@@ -89,14 +89,12 @@ void ShmTransport::post_rdma_write(fabric::RdmaOp op) {
 
   // Chain error state first: a wedged QP flushes everything posted to it,
   // fault plan or not (matches the DES fabric and real QP error
-  // semantics).
-  {
-    common::MutexLock lock(chains_mu_);
-    if (chains_[src_qp].errored) {
-      OpRec* rec = acquire_rec(src, std::move(op));
-      fail_locally(src, rec, fabric::OpFailure::kFlushed, t);
-      return;
-    }
+  // semantics).  With no chain wedged anywhere that is one load.
+  if (errored_count_.load(std::memory_order_acquire) != 0 &&
+      qp_chain_errored(src_qp)) {
+    OpRec* rec = acquire_rec(src, std::move(op));
+    fail_locally(src, rec, fabric::OpFailure::kFlushed, t);
+    return;
   }
 
   fabric::FaultDecision decision;
@@ -131,14 +129,10 @@ void ShmTransport::post_rdma_write(fabric::RdmaOp op) {
     case fabric::FaultKind::kRetryExceeded:
       fail_locally(src, rec, fabric::OpFailure::kRetryExceeded, t);
       return;
-    case fabric::FaultKind::kQpFlush: {
-      {
-        common::MutexLock lock(chains_mu_);
-        chains_[src_qp].errored = true;
-      }
+    case fabric::FaultKind::kQpFlush:
+      inject_qp_error(src_qp);
       fail_locally(src, rec, fabric::OpFailure::kFlushed, t);
       return;
-    }
   }
 
   // Stage, then opportunistically push to the wire ring.  The staged
@@ -174,18 +168,19 @@ void ShmTransport::set_fault_plan(const fabric::FaultPlan& plan) {
 
 void ShmTransport::inject_qp_error(std::uint64_t src_qp) {
   common::MutexLock lock(chains_mu_);
-  chains_[src_qp].errored = true;
+  errored_chains_.insert(src_qp);
+  errored_count_.store(errored_chains_.size(), std::memory_order_release);
 }
 
 bool ShmTransport::qp_chain_errored(std::uint64_t src_qp) {
   common::MutexLock lock(chains_mu_);
-  auto it = chains_.find(src_qp);
-  return it != chains_.end() && it->second.errored;
+  return errored_chains_.contains(src_qp);
 }
 
 void ShmTransport::reset_qp_chain(std::uint64_t src_qp) {
   common::MutexLock lock(chains_mu_);
-  chains_[src_qp].errored = false;
+  errored_chains_.erase(src_qp);
+  errored_count_.store(errored_chains_.size(), std::memory_order_release);
 }
 
 std::size_t ShmTransport::progress_node(fabric::NodeId id, Time now) {
@@ -227,7 +222,10 @@ std::size_t ShmTransport::progress_node(fabric::NodeId id, Time now) {
       if (rec->not_before > now) break;
       if (ch.ack.space() == 0) break;
       ch.wire.pop_front();
-      if (rec->op.move_data) rec->op.move_data();
+      if (rec->op.move_data) {
+        DmaScope scope(&dma_);
+        rec->op.move_data();
+      }
       if (rec->op.on_recv_complete) rec->op.on_recv_complete(now);
       const bool pushed = ch.ack.try_push(rec);
       PARTIB_ASSERT(pushed);

@@ -33,6 +33,12 @@
 // fail_latency, and kQpFlush wedges the QP chain so every later post
 // flushes until reset_qp_chain(), exactly as on the DES backend.
 //
+// Payload copies: move_data() runs inside a DmaScope for this
+// transport's DmaEngine (backend/shm/dma_engine.hpp), so the verbs
+// layer's dma_copy() splits a large payload across the engine's helper
+// threads, the way an HCA's DMA engines move a write's bytes while the
+// host keeps working.
+//
 // Time is common::mono_now() normalised to construction (ns since
 // transport start).  Nothing here touches the sim::Engine: timers stay
 // the backend's concern (backend/shm/shm_backend.hpp).
@@ -43,9 +49,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "backend/shm/dma_engine.hpp"
 #include "backend/shm/spsc_ring.hpp"
 #include "backend/transport.hpp"
 #include "common/clock.hpp"
@@ -125,6 +132,9 @@ class ShmTransport final : public Transport {
   /// single driver thread is the one asking.
   bool idle() const;
 
+  /// The engine move_data() copies through.
+  DmaEngine& dma() { return dma_; }
+
  private:
   /// One in-flight op.  Lives in the source node's slab; the pointer does
   /// a round trip src → wire ring → dst (deliver) → ack ring → src (send
@@ -181,10 +191,6 @@ class ShmTransport final : public Transport {
     std::atomic<std::uint64_t> failed_ops{0};
   };
 
-  struct ChainState {
-    bool errored = false;
-  };
-
   OpRec* acquire_rec(NodeState& node, fabric::RdmaOp&& op);
   void release_rec(NodeState& node, OpRec* rec);
   NodeState& node_state(fabric::NodeId id);
@@ -207,13 +213,18 @@ class ShmTransport final : public Transport {
   /// Live ops + queued failures + undelivered control messages.
   std::atomic<std::int64_t> outstanding_{0};
 
-  /// QP chain error states.  Guarded: posts from different node threads
-  /// and test-thread inject/reset all take the mutex; the map is tiny and
-  /// the shm path is not the perf-gated one.
+  /// Wedged QP chains.  Posts from different node threads and test-thread
+  /// inject/reset share the set under the mutex; `errored_count_` mirrors
+  /// its size (stored under the lock, loaded without it), so a post takes
+  /// the lock only while some chain is wedged.
   mutable common::Mutex chains_mu_;
-  std::unordered_map<std::uint64_t, ChainState> chains_;
+  std::unordered_set<std::uint64_t> errored_chains_;
+  std::atomic<std::size_t> errored_count_{0};
 
   mutable fabric::FabricStats agg_stats_;
+
+  /// Splits large move_data() copies across helper threads.
+  DmaEngine dma_;
 };
 
 }  // namespace partib::backend

@@ -1,7 +1,6 @@
 #include "verbs/verbs.hpp"
 
-#include <cstring>
-
+#include "backend/shm/dma_engine.hpp"
 #include "check/hooks.hpp"
 #include "common/assert.hpp"
 #include "common/thread_annotations.hpp"
@@ -472,7 +471,7 @@ Qp::DeliveryResult Qp::deliver_rdma_write(const SendWr& wr, bool with_imm,
   if (copy_data) {
     std::byte* dst = wire_ptr(wr.remote_addr);
     for (const Sge& sge : wr.sg_list) {
-      std::memcpy(dst, wire_ptr(sge.addr), sge.length);
+      backend::dma_copy(dst, wire_ptr(sge.addr), sge.length);
       dst += sge.length;
     }
   }
@@ -506,8 +505,8 @@ Qp::DeliveryResult Qp::deliver_send(const SendWr& wr, bool copy_data) {
         const Sge& dst = posted.wr.sg_list[recv_idx];
         const std::size_t space = dst.length - recv_off;
         const std::size_t n = std::min(space, src.length - copied);
-        std::memcpy(wire_ptr(dst.addr + recv_off),
-                    wire_ptr(src.addr + copied), n);
+        backend::dma_copy(wire_ptr(dst.addr + recv_off),
+                          wire_ptr(src.addr + copied), n);
         copied += n;
         recv_off += n;
         if (recv_off == dst.length) {

@@ -19,9 +19,12 @@
 //
 // Geometry corpus: >= 50 seeded (partitions, partition-size, aggregator,
 // rounds) tuples drawn from sim::Rng(seed), same derivation for both
-// backends.  Timer/learning aggregators are deliberately excluded: their
-// plans depend on observed arrival *times*, which differ across backends
-// by design (documented in docs/BACKENDS.md).
+// backends.  A second, large-message family draws partitions of 256 KiB
+// to 4 MiB, odd sizes included, so every write is big enough for the shm
+// transport's DMA engine to split into 64 KiB chunks (and most end in a
+// partial chunk).  Timer/learning aggregators are deliberately excluded:
+// their plans depend on observed arrival *times*, which differ across
+// backends by design (documented in docs/BACKENDS.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,6 +71,23 @@ Geometry derive_geometry(std::uint64_t seed) {
   return g;
 }
 
+/// The large-message family: every message (a partition or an aggregate
+/// of them) is 256 KiB to 4 MiB, the whole buffer at most 4 MiB.
+Geometry derive_large_geometry(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  Geometry g;
+  const int log_partitions = static_cast<int>(rng.uniform_int(0, 4));
+  g.partitions = std::size_t{1} << log_partitions;
+  g.partition_bytes = static_cast<std::size_t>(rng.uniform_int(
+      static_cast<std::int64_t>(256 * KiB),
+      static_cast<std::int64_t>(4 * MiB / g.partitions)));
+  g.rounds = static_cast<int>(rng.uniform_int(1, 2));
+  g.aggregator = static_cast<int>(rng.uniform_int(0, 2));
+  g.static_tp = std::size_t{1} << rng.uniform_int(0, log_partitions);
+  g.static_qps = static_cast<int>(rng.uniform_int(1, 4));
+  return g;
+}
+
 part::Options options_for(const Geometry& g) {
   switch (g.aggregator) {
     case 0: return persistent_options();
@@ -85,10 +105,10 @@ std::uint64_t fnv1a(const std::vector<std::byte>& buf) {
   return h;
 }
 
-/// Run the seed's geometry on the named backend; one digest per round.
-std::vector<RoundDigest> run_on(const std::string& backend,
+/// Run the geometry on the named backend; one digest per round.  `seed`
+/// labels failures.
+std::vector<RoundDigest> run_on(const std::string& backend, const Geometry& g,
                                 std::uint64_t seed) {
-  const Geometry g = derive_geometry(seed);
   check::reset();
   check::ScopedPolicy policy(check::Policy::kCount);
 
@@ -122,28 +142,45 @@ std::vector<RoundDigest> run_on(const std::string& backend,
   return digests;
 }
 
+/// The shm digests of `g` equal the DES oracle's, round by round.
+void expect_shm_matches_des(const Geometry& g, std::uint64_t seed) {
+  const std::vector<RoundDigest> des = run_on("des", g, seed);
+  const std::vector<RoundDigest> shm = run_on("shm", g, seed);
+  ASSERT_EQ(des.size(), shm.size()) << "seed " << seed;
+  for (std::size_t r = 0; r < des.size(); ++r) {
+    EXPECT_EQ(des[r], shm[r]) << "seed " << seed << " round " << r + 1
+                              << ": wrs " << des[r].wrs_posted << "/"
+                              << shm[r].wrs_posted << ", msgs "
+                              << des[r].messages_received << "/"
+                              << shm[r].messages_received;
+  }
+}
+
 TEST(BackendDifferential, FiftyGeometriesShmMatchesDesOracle) {
   constexpr std::uint64_t kSeeds = 50;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const std::vector<RoundDigest> des = run_on("des", seed);
-    const std::vector<RoundDigest> shm = run_on("shm", seed);
-    ASSERT_EQ(des.size(), shm.size()) << "seed " << seed;
-    for (std::size_t r = 0; r < des.size(); ++r) {
-      EXPECT_EQ(des[r], shm[r]) << "seed " << seed << " round " << r + 1
-                                << ": wrs " << des[r].wrs_posted << "/"
-                                << shm[r].wrs_posted << ", msgs "
-                                << des[r].messages_received << "/"
-                                << shm[r].messages_received;
-    }
+    expect_shm_matches_des(derive_geometry(seed), seed);
   }
+}
+
+TEST(BackendDifferential, LargeMessagesShmMatchesDesOracle) {
+  constexpr std::uint64_t kSeeds = 8;
+  bool partial_chunk = false;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const Geometry g = derive_large_geometry(seed);
+    partial_chunk |= g.partition_bytes % (64 * KiB) != 0;
+    expect_shm_matches_des(g, seed);
+  }
+  EXPECT_TRUE(partial_chunk);
 }
 
 TEST(BackendDifferential, ShmReplaysItsOwnSeedDeterministically) {
   // The shm transport is real-time, so its *timing* is not reproducible —
   // but its observable results must be: same seed, same digests.
   for (std::uint64_t seed = 3; seed <= 23; seed += 5) {
-    const std::vector<RoundDigest> a = run_on("shm", seed);
-    const std::vector<RoundDigest> b = run_on("shm", seed);
+    const Geometry g = derive_geometry(seed);
+    const std::vector<RoundDigest> a = run_on("shm", g, seed);
+    const std::vector<RoundDigest> b = run_on("shm", g, seed);
     EXPECT_EQ(a, b) << "seed " << seed;
   }
 }

@@ -8,7 +8,10 @@
 //     at most half of the wall time it waited;
 //   * short waits spin: a 32 x 64 B partitioned round, whose waits are
 //     sub-microsecond host-cost timers, takes well under one timer-slack
-//     nap (~60 us) at the median.
+//     nap (~60 us) at the median;
+//   * nothing else spins while the pump sleeps: after a 32 x 64 KiB round
+//     has started the DMA engine's helper threads, a long idle wait costs
+//     the whole process at most half a core.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,8 @@
 
 #include "agg/strategies.hpp"
 #include "backend/backend.hpp"
+#include "backend/shm/shm_backend.hpp"
+#include "common/units.hpp"
 #include "fabric/fault.hpp"
 #include "fabric/rdma_op.hpp"
 #include "model/loggp.hpp"
@@ -36,6 +41,14 @@ Time thread_cpu_ns() {
          static_cast<Time>(ts.tv_nsec);
 }
 
+/// CPU time consumed by every thread of the process, in ns.
+Time process_cpu_ns() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<Time>(ts.tv_sec) * kSecond +
+         static_cast<Time>(ts.tv_nsec);
+}
+
 /// Thread CPU and backend wall time spent in one run_until_idle call.
 struct Drain {
   Time wall = 0;
@@ -47,6 +60,47 @@ Drain drain(Backend& be) {
   const Time cpu0 = thread_cpu_ns();
   be.run_until_idle();
   return {be.now() - wall0, thread_cpu_ns() - cpu0};
+}
+
+/// A 32-partition PLogGP channel from rank 0 to rank 1.
+struct Channel {
+  static constexpr std::size_t kPartitions = 32;
+  std::vector<std::byte> sbuf, rbuf;
+  std::unique_ptr<part::PsendRequest> send;
+  std::unique_ptr<part::PrecvRequest> recv;
+};
+
+void open_channel(Backend& be, mpi::World& world, std::size_t partition_bytes,
+                  Channel* ch) {
+  ch->sbuf.resize(Channel::kPartitions * partition_bytes);
+  ch->rbuf.resize(ch->sbuf.size());
+  part::Options opts;
+  opts.aggregator = std::make_shared<agg::PLogGPAggregator>(
+      model::LogGPParams::niagara_mpi_measured());
+  ASSERT_TRUE(ok(part::psend_init(world.rank(0), ch->sbuf,
+                                  Channel::kPartitions, 1, 0, 0, opts,
+                                  &ch->send)));
+  ASSERT_TRUE(ok(part::precv_init(world.rank(1), ch->rbuf,
+                                  Channel::kPartitions, 0, 0, 0, opts,
+                                  &ch->recv)));
+  be.run_until_idle();  // handshake
+}
+
+/// One round: fill, start both sides, Pready every partition, drain.
+/// Returns the round's duration.
+Time run_round(Backend& be, Channel& ch, int r) {
+  std::fill(ch.sbuf.begin(), ch.sbuf.end(), static_cast<std::byte>(r));
+  const Time t0 = be.now();
+  EXPECT_TRUE(ok(ch.send->start()));
+  EXPECT_TRUE(ok(ch.recv->start()));
+  for (std::size_t i = 0; i < Channel::kPartitions; ++i) {
+    EXPECT_TRUE(ok(ch.send->pready(i)));
+  }
+  be.run_until_idle();
+  const Time elapsed = be.now() - t0;
+  EXPECT_TRUE(ch.send->test() && ch.recv->test());
+  EXPECT_EQ(ch.rbuf, ch.sbuf) << "round " << r;
+  return elapsed;
 }
 
 TEST(ShmWait, LongTimerSleepsUntilItsDeadline) {
@@ -97,41 +151,42 @@ TEST(ShmWait, LongFaultHoldSleepsUntilDelivery) {
 }
 
 TEST(ShmWait, SmallPartitionedRoundSpinsThroughShortWaits) {
-  constexpr std::size_t kPartitions = 32;
-  constexpr std::size_t kPartitionBytes = 64;
   constexpr int kRounds = 200;
   auto be = make_backend("shm");
   ASSERT_NE(be, nullptr);
   mpi::World world(*be, {});
-  std::vector<std::byte> sbuf(kPartitions * kPartitionBytes);
-  std::vector<std::byte> rbuf(sbuf.size());
-  part::Options opts;
-  opts.aggregator = std::make_shared<agg::PLogGPAggregator>(
-      model::LogGPParams::niagara_mpi_measured());
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-  ASSERT_TRUE(ok(part::psend_init(world.rank(0), sbuf, kPartitions, 1, 0, 0,
-                                  opts, &send)));
-  ASSERT_TRUE(ok(part::precv_init(world.rank(1), rbuf, kPartitions, 0, 0, 0,
-                                  opts, &recv)));
-  be->run_until_idle();  // handshake
+  Channel ch;
+  ASSERT_NO_FATAL_FAILURE(open_channel(*be, world, 64, &ch));
   std::vector<Time> rounds;
   for (int r = 0; r < kRounds; ++r) {
-    std::fill(sbuf.begin(), sbuf.end(), static_cast<std::byte>(r));
-    const Time t0 = be->now();
-    ASSERT_TRUE(ok(send->start()));
-    ASSERT_TRUE(ok(recv->start()));
-    for (std::size_t i = 0; i < kPartitions; ++i) {
-      ASSERT_TRUE(ok(send->pready(i)));
-    }
-    be->run_until_idle();
-    rounds.push_back(be->now() - t0);
-    ASSERT_TRUE(send->test() && recv->test());
-    ASSERT_EQ(rbuf, sbuf) << "round " << r;
+    rounds.push_back(run_round(*be, ch, r));
+    ASSERT_FALSE(HasFailure()) << "round " << r;
   }
   std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2,
                    rounds.end());
   EXPECT_LT(rounds[kRounds / 2], usec(30));
+}
+
+TEST(ShmWait, IdleWaitAfterLargeRoundCostsUnderHalfACore) {
+  auto be = make_backend("shm");
+  ASSERT_NE(be, nullptr);
+  mpi::World world(*be, {});
+  Channel ch;
+  ASSERT_NO_FATAL_FAILURE(open_channel(*be, world, 64 * KiB, &ch));
+  run_round(*be, ch, 1);
+  ASSERT_FALSE(HasFailure());
+  // The round's writes are large enough to split, so the helpers are up.
+  const DmaEngine& dma = static_cast<ShmBackend&>(*be).shm().dma();
+  ASSERT_EQ(dma.started(), dma.max_helpers());
+
+  const Time wall0 = be->now();
+  const Time cpu0 = process_cpu_ns();
+  be->engine().schedule_at(wall0 + msec(20), [] {});
+  be->run_until_idle();
+  const Time wall = be->now() - wall0;
+  const Time cpu = process_cpu_ns() - cpu0;
+  EXPECT_GE(wall, msec(20));
+  EXPECT_LE(cpu * 2, wall) << "cpu " << cpu << " ns, wall " << wall;
 }
 
 }  // namespace
