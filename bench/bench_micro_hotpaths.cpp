@@ -182,8 +182,8 @@ BENCHMARK(BM_FluidNetworkFanIn)->Arg(8)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_RunnerSweep(benchmark::State& state) {
   // Dispatch overhead of the parallel experiment runner: 256 trials whose
-  // body is a tiny 64-event simulation, so pool submission, stealing and
-  // submission-order collection dominate.  No cache — this measures the
+  // body is a tiny 64-event simulation, so thread start-up, index claims
+  // and submission-order collection dominate.  No cache — this measures the
   // execute path, not fingerprint I/O.
   struct Cfg {
     std::uint64_t id = 0;

@@ -43,8 +43,6 @@ struct Config {
   /// Deterministic fault injection (fabric/fault.hpp); all-zero rates are
   /// free on every backend.
   fabric::FaultPlanConfig faults{};
-  /// shm: capacity (records) of each per-peer wire/ack ring.
-  std::size_t shm_ring_capacity = 1024;
 };
 
 class Backend {

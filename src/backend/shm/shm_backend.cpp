@@ -13,7 +13,6 @@ ShmTransportOptions transport_options(const Config& config) {
   ShmTransportOptions o;
   o.nic = config.nic;
   o.copy_data = config.copy_data;
-  o.ring_capacity = config.shm_ring_capacity;
   return o;
 }
 

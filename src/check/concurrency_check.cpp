@@ -146,8 +146,8 @@ void observer_acquire(const void* mu, const char* name) {
 
 void observer_release(const void* mu, const char* /*name*/) {
   if (t_in_observer) return;
-  // Non-LIFO release is legal (CondVar::wait releases mid-stack), so
-  // search from the top.  A miss means the lock predates audit enable.
+  // Non-LIFO release is legal (unlock order is the caller's), so search
+  // from the top.  A miss means the lock predates audit enable.
   for (std::size_t i = t_held.size(); i > 0; --i) {
     if (t_held[i - 1].mu == mu) {
       t_held.erase(t_held.begin() + static_cast<std::ptrdiff_t>(i - 1));

@@ -30,7 +30,7 @@ struct Diagnostic {
 };
 
 /// Print one structured diagnostic line to stderr (always — diagnostics
-/// are not gated by PARTIB_LOG_LEVEL; they indicate program errors).
+/// indicate program errors, so nothing gates them).
 void diag_emit(const Diagnostic& d);
 
 /// Fatal variant: emit and abort.  PARTIB_ASSERT routes through this with

@@ -9,22 +9,17 @@
 //     partib-mutex-wrapper-only lint check bans it outside src/common/.
 //
 //  2. A lock *name* — a string literal identifying the lock class (all
-//     worker-deque locks share "runner.worker_deque").  The lock-order
-//     auditor builds its graph over classes, so an inversion between two
-//     instances of different classes is caught even when the two runs that
-//     exhibit each direction never touch the same instance.
+//     per-shard locks share "runtime.shard").  The lock-order auditor
+//     builds its graph over classes, so an inversion between two instances
+//     of different classes is caught even when the two runs that exhibit
+//     each direction never touch the same instance.
 //
 //  3. Acquire/release observer hooks for the PARTIB_CHECK concurrency
 //     auditor (check/concurrency_check.hpp): lock-order-cycle and
 //     cross-thread-ownership auditing.  With PARTIB_CHECK=OFF the hook
 //     call sites compile away and Mutex is exactly std::mutex.
-//
-// CondVar pairs with Mutex the way std::condition_variable pairs with
-// std::mutex; waiting re-enters Mutex::unlock/lock so the observer's
-// held-lock picture stays truthful across the wait.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.hpp"
@@ -47,7 +42,7 @@ const MutexObserver* mutex_observer();
 class PARTIB_CAPABILITY("mutex") Mutex {
  public:
   /// `name` identifies the lock class for deadlock-order auditing and
-  /// diagnostics; use a string literal ("runner.pool_state").  nullptr
+  /// diagnostics; use a string literal ("runtime.shard").  nullptr
   /// makes the instance its own anonymous class.
   explicit Mutex(const char* name = nullptr) : name_(name) {}
 
@@ -106,27 +101,6 @@ class PARTIB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable over partib::Mutex.  Callers hold the mutex (via
-/// MutexLock) around wait(); the wait re-enters Mutex::unlock/lock so both
-/// the thread-safety analysis contract (REQUIRES on entry and exit) and
-/// the runtime auditor's held-set remain accurate.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
-  /// Atomically release `mu`, block, and re-acquire before returning.
-  /// Spurious wakeups happen; loop on the predicate.
-  void wait(Mutex& mu) PARTIB_REQUIRES(mu) { cv_.wait(mu); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace partib::common

@@ -21,10 +21,10 @@
 //     at analysis time, complementing the PARTIB_CHECK runtime
 //     no-allocation asserts.
 //
-// Only partib::Mutex / partib::MutexLock / partib::CondVar
-// (common/mutex.hpp) carry the capability attributes; raw std::mutex is
-// invisible to the analysis, which is why the partib-mutex-wrapper-only
-// check bans it outside src/common/.
+// Only partib::Mutex / partib::MutexLock (common/mutex.hpp) carry the
+// capability attributes; raw std::mutex is invisible to the analysis,
+// which is why the partib-mutex-wrapper-only check bans it outside
+// src/common/.
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))

@@ -3,8 +3,9 @@
 // A figure benchmark or tuning-table search is hundreds of *independent*
 // DES trials — each builds its own DES backend and mpi::World on it, runs
 // to quiescence, and reduces to a small result struct.  `run_trials` executes
-// such a grid across host cores on a work-stealing pool
-// (runner/thread_pool.hpp) while keeping the three properties the
+// such a grid across host cores — the caller and up to jobs-1 threads
+// claim trial indices from one atomic counter, which is all one fixed
+// batch from one submitter needs — while keeping the three properties the
 // figure pipeline depends on:
 //
 //  1. **Determinism** — each trial's RNG seed is a pure function of its
@@ -13,7 +14,7 @@
 //     *submission order*, so the emitted CSV/table is byte-identical for
 //     any worker count, including --jobs=1 (which runs every trial
 //     inline on the calling thread, reproducing the historical serial
-//     behaviour exactly — no pool threads are even spawned).
+//     behaviour exactly — no threads are even spawned).
 //  2. **Memoization** — with a ResultCache attached, a trial whose
 //     fingerprint is already on disk is decoded instead of simulated, so
 //     re-running a figure or resuming an interrupted table search pays
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <cstddef>
@@ -34,16 +36,25 @@
 #include <exception>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "common/assert.hpp"
+#include "common/env.hpp"
 #include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "runner/result_cache.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace partib::runner {
+
+/// Default worker count: PARTIB_JOBS when set (>= 1), otherwise the
+/// hardware concurrency (>= 1).
+inline std::size_t default_jobs() {
+  const std::int64_t env = env_int("PARTIB_JOBS", 0);
+  if (env > 0) return static_cast<std::size_t>(env);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 struct RunOptions {
   /// Worker threads; 0 means default_jobs() (PARTIB_JOBS env override,
@@ -170,66 +181,6 @@ Codec<Result> fields_codec() {
   return {&detail::encode_fields<Result>, &detail::decode_fields<Result>};
 }
 
-namespace detail {
-
-/// Countdown latch (C++20 std::latch needs a count at construction
-/// before cache hits are known; this one is just as small).
-class Latch {
- public:
-  explicit Latch(std::size_t count) : remaining_(count) {}
-
-  void count_down() {
-    common::MutexLock lock(mutex_);
-    PARTIB_ASSERT(remaining_ > 0);
-    if (--remaining_ == 0) done_.notify_all();
-  }
-
-  void wait() {
-    common::MutexLock lock(mutex_);
-    while (remaining_ != 0) done_.wait(mutex_);
-  }
-
- private:
-  common::Mutex mutex_{"runner.latch"};
-  common::CondVar done_;
-  std::size_t remaining_ PARTIB_GUARDED_BY(mutex_);
-};
-
-/// First-exception box: trials run on pool workers, where a throw must
-/// not unwind (the pool would terminate and the latch would never count
-/// down — see thread_pool.hpp).  Each worker stows its exception here
-/// instead; run_trials rethrows the first one on the submitting thread
-/// after every task has signalled the latch, so the pool always winds
-/// down cleanly even when trials fail.
-class ErrorBox {
- public:
-  void capture() {
-    common::MutexLock lock(mutex_);
-    if (!first_) first_ = std::current_exception();
-  }
-
-  [[noreturn]] void rethrow() {
-    std::exception_ptr e;
-    {
-      common::MutexLock lock(mutex_);
-      e = first_;
-    }
-    PARTIB_ASSERT(e != nullptr);
-    std::rethrow_exception(e);
-  }
-
-  bool armed() {
-    common::MutexLock lock(mutex_);
-    return first_ != nullptr;
-  }
-
- private:
-  common::Mutex mutex_{"runner.error_box"};
-  std::exception_ptr first_ PARTIB_GUARDED_BY(mutex_);
-};
-
-}  // namespace detail
-
 /// Execute `trial` over every config, in parallel, returning results in
 /// submission order.  `fingerprint` must cover every config field that can
 /// influence the result; runner::fingerprint_fields over the config's
@@ -274,31 +225,42 @@ std::vector<Result> run_trials(const std::vector<Config>& configs,
   if (jobs <= 1 || pending.size() <= 1) {
     // Serial reference path: submission order on the calling thread.
     // Exceptions propagate directly — same observable behaviour as the
-    // parallel path's stow-and-rethrow below.
+    // parallel path's keep-and-rethrow below.
     for (std::size_t i : pending) execute(i);
   } else {
-    detail::Latch latch(pending.size());
-    detail::ErrorBox errors;
-    {
-      ThreadPool pool(std::min(jobs, pending.size()));
-      for (std::size_t i : pending) {
-        pool.submit([&execute, &latch, &errors, i] {
-          // The latch counts down on *every* exit path: a trial that
-          // throws must not leave wait() blocked forever (nor let the
-          // exception reach the pool, which treats that as fatal).
-          try {
-            execute(i);
-          } catch (...) {
-            errors.capture();
-          }
-          latch.count_down();
-        });
+    // Self-scheduling: the caller and up to jobs-1 threads each claim the
+    // next pending index from one counter until it passes the end.  A
+    // throwing trial does not stop the others; the first exception is
+    // kept and rethrown on the caller once every thread has joined.
+    std::atomic<std::size_t> next{0};
+    common::Mutex error_mutex{"runner.first_error"};
+    std::exception_ptr first_error;  // written under error_mutex
+    auto work = [&] {
+      for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+           k < pending.size();
+           k = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+          execute(pending[k]);
+        } catch (...) {
+          common::MutexLock lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
       }
-      latch.wait();
+    };
+    const std::size_t extra = std::min(jobs, pending.size()) - 1;
+    std::vector<std::thread> threads;
+    threads.reserve(extra);
+    while (threads.size() < extra) {
+      try {
+        threads.emplace_back(work);
+      } catch (const std::system_error&) {
+        break;  // out of threads: the ones running and the caller claim all
+      }
     }
-    // Pool joined: every worker is done, results[] is quiescent.  Surface
-    // the first failure on the calling thread, as the serial path would.
-    if (errors.armed()) errors.rethrow();
+    work();
+    for (std::thread& t : threads) t.join();
+    // Every thread has joined, so results[] and first_error are quiescent.
+    if (first_error) std::rethrow_exception(first_error);
   }
 
   if (stats != nullptr) *stats = local;

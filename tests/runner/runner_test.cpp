@@ -1,22 +1,28 @@
-// The parallel experiment runner: thread pool, submission-order result
-// collection (byte-identical output for any job count), fingerprints /
-// derived seeds, and the persistent result cache.
+// The parallel experiment runner: submission-order result collection
+// (byte-identical output for any job count), the job-count thread bound,
+// exception propagation, fingerprints / derived seeds, and the persistent
+// result cache.  The run_trials tests also run under TSan (see the tsan
+// CI job), where a race on the claim counter or the kept exception shows
+// up as a report rather than a flake.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fields.hpp"
 #include "runner/fingerprint.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace partib::runner {
 namespace {
@@ -62,38 +68,6 @@ TEST(Fingerprint, HexIsFixedWidthLowercase) {
   EXPECT_EQ(to_hex(0xABCDEF0123456789ULL), "abcdef0123456789");
 }
 
-// -- thread pool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor drains the queues
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, SingleThreadPoolStillDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
-  ::setenv("PARTIB_JOBS", "3", 1);
-  EXPECT_EQ(default_jobs(), 3u);
-  ::unsetenv("PARTIB_JOBS");
-  EXPECT_GE(default_jobs(), 1u);
-}
-
 // -- run_trials --------------------------------------------------------------
 
 struct TrialConfig {
@@ -137,6 +111,42 @@ TEST(RunTrials, ResultsComeBackInSubmissionOrderForAnyJobCount) {
   }
 }
 
+TEST(RunTrials, DefaultJobsHonoursEnvOverride) {
+  ::setenv("PARTIB_JOBS", "3", 1);
+  EXPECT_EQ(default_jobs(), 3u);
+  ::unsetenv("PARTIB_JOBS");
+  EXPECT_GE(default_jobs(), 1u);
+}
+
+TEST(RunTrials, RunsOnAtMostJobsThreadsAndInlineAtOne) {
+  // Each trial records the id of the thread that ran it; slots are
+  // distinct per trial, so the writes need no lock.  A trial lasts a
+  // millisecond, far longer than a thread takes to start, so every
+  // thread run_trials starts gets to claim some trials.
+  auto thread_ids = [](int trials, std::size_t jobs) {
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(trials));
+    RunOptions opts;
+    opts.jobs = jobs;
+    (void)run_trials<TrialConfig, int>(
+        make_grid(trials),
+        [&ids](const TrialConfig& c) {
+          ids[static_cast<std::size_t>(c.value)] = std::this_thread::get_id();
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return c.value;
+        },
+        config_fp, {}, opts);
+    return ids;
+  };
+
+  for (const std::thread::id id : thread_ids(16, 1)) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  const auto three = thread_ids(64, 3);
+  EXPECT_LE(std::set<std::thread::id>(three.begin(), three.end()).size(), 3u);
+  const auto two = thread_ids(2, 8);
+  EXPECT_LE(std::set<std::thread::id>(two.begin(), two.end()).size(), 2u);
+}
+
 TEST(RunTrials, StatsCountExecutedTrials) {
   const auto grid = make_grid(10);
   RunOptions opts;
@@ -148,6 +158,64 @@ TEST(RunTrials, StatsCountExecutedTrials) {
   EXPECT_EQ(stats.trials, 10u);
   EXPECT_EQ(stats.executed, 10u);
   EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+// -- run_trials exception propagation ---------------------------------------
+
+TEST(RunTrialsExceptions, ThrowingTrialRethrowsOnCallerWithoutDeadlock) {
+  // One trial throwing must not stop the other claimants or leave a
+  // thread un-joined; the exception surfaces on the submitting thread
+  // exactly as the serial path would surface it.
+  std::vector<int> configs(32);
+  for (int i = 0; i < 32; ++i) configs[i] = i;
+  std::atomic<int> executed{0};
+
+  auto trial = [&executed](int c) -> int {
+    if (c == 7) throw std::runtime_error("trial 7 failed");
+    executed.fetch_add(1, std::memory_order_relaxed);
+    return c * 2;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+
+  RunOptions opts;
+  opts.jobs = 4;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::runtime_error);
+  // Every other trial still ran to completion before the rethrow: a
+  // claimant keeps claiming after a throw, so the batch drains fully.
+  EXPECT_EQ(executed.load(), 31);
+}
+
+TEST(RunTrialsExceptions, SerialPathThrowsIdentically) {
+  std::vector<int> configs{1, 2, 3};
+  auto trial = [](int c) -> int {
+    if (c == 2) throw std::invalid_argument("bad config");
+    return c;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+  RunOptions opts;
+  opts.jobs = 1;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::invalid_argument);
+}
+
+TEST(RunTrialsExceptions, MultipleThrowingTrialsStillJoinCleanly) {
+  // Several threads throwing concurrently exercise the first-exception
+  // mutex and the keep-claiming-after-a-throw loop together.
+  std::vector<int> configs(64);
+  for (int i = 0; i < 64; ++i) configs[i] = i;
+  auto trial = [](int c) -> int {
+    if (c % 2 == 0) throw std::runtime_error("even configs all fail");
+    return c;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+  RunOptions opts;
+  opts.jobs = 8;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::runtime_error);
 }
 
 class RunnerCacheTest : public ::testing::Test {

@@ -491,7 +491,7 @@ class Linter {
           kRawTypes.count(toks[i + 3].text) != 0) {
         add(toks[i],
             "raw 'std::" + toks[i + 3].text +
-                "' outside src/common/; use common::Mutex / common::CondVar "
+                "' outside src/common/; use common::Mutex "
                 "(common/mutex.hpp) so thread-safety annotations and the "
                 "lock-order auditor see it",
             kMutexCheck);

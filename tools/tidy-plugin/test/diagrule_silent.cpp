@@ -7,7 +7,7 @@
 
 void good_report(int rank) {
   report("qp.transition", "qp0", rank, "detail");
-  report("check.lock_order", "runner.pool_state", rank, "detail");
+  report("check.lock_order", "runtime.shard", rank, "detail");
 }
 
 void good_assignment() {

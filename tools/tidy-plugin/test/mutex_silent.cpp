@@ -4,13 +4,12 @@
 
 // SILENT-NOT: warning:
 
-struct Pool {
-  common::Mutex state_mutex{"runner.pool_state"};
-  common::CondVar work_available;
+struct Shard {
+  common::Mutex mu{"runtime.shard"};
 };
 
-void locked_section(Pool& pool) {
-  common::MutexLock lock(pool.state_mutex);
+void locked_section(Shard& shard) {
+  common::MutexLock lock(shard.mu);
 }
 
 // A deliberately-raw mutex (e.g. inside an auditor that must not audit
