@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
       {8 * MiB, "Fig 10"}, {128 * MiB, "Fig 11"}};
 
   // One profiler per trial: the grid runner executes the two sizes
-  // concurrently, each recording into its own PartProfiler (a profiling
-  // grid bypasses the result cache — see bench/trial.hpp).
+  // concurrently, each recording into its own PartProfiler.
   std::vector<prof::PartProfiler> profilers(points.size(),
                                             prof::PartProfiler(kPartitions));
   std::vector<bench::PerceivedConfig> grid;

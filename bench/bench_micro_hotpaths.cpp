@@ -25,7 +25,6 @@
 #include "mpi/world.hpp"
 #include "part/imm.hpp"
 #include "part/partitioned.hpp"
-#include "runner/fingerprint.hpp"
 #include "runner/runner.hpp"
 #include "runtime/bridge.hpp"
 #include "runtime/producer.hpp"
@@ -183,17 +182,12 @@ BENCHMARK(BM_FluidNetworkFanIn)->Arg(8)->Arg(64)->Arg(1024)->Arg(4096);
 void BM_RunnerSweep(benchmark::State& state) {
   // Dispatch overhead of the parallel experiment runner: 256 trials whose
   // body is a tiny 64-event simulation, so thread start-up, index claims
-  // and submission-order collection dominate.  No cache — this measures the
-  // execute path, not fingerprint I/O.
+  // and submission-order collection dominate.
   struct Cfg {
     std::uint64_t id = 0;
   };
   std::vector<Cfg> grid(256);
   for (std::size_t i = 0; i < grid.size(); ++i) grid[i].id = i;
-  auto fp = [](const Cfg& c) {
-    runner::Hasher h;
-    return h.str("bm-runner-sweep/v1").u64(c.id).digest();
-  };
   auto trial = [](const Cfg& c) {
     sim::Engine engine;
     std::uint64_t sum = c.id;
@@ -206,8 +200,8 @@ void BM_RunnerSweep(benchmark::State& state) {
   runner::RunOptions opts;
   opts.jobs = 4;
   for (auto _ : state) {
-    const auto results = runner::run_trials<Cfg, std::uint64_t>(
-        grid, trial, fp, {}, opts);
+    const auto results =
+        runner::run_trials<Cfg, std::uint64_t>(grid, trial, opts);
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

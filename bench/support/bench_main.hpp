@@ -1,9 +1,9 @@
 // Shared helpers for the figure/table bench binaries: a tiny CLI
 // (--csv for machine-readable output, --iters=N to override iteration
-// counts, --jobs=N / --no-cache / --cache-dir= for the parallel
-// experiment runner, --loggp=L,o_s,o_r,g,G / --delta0=NS to swap the
-// machine model and initial timer window) and canned part::Options
-// constructors for each design.
+// counts, --jobs=N for the parallel experiment runner,
+// --loggp=L,o_s,o_r,g,G / --delta0=NS to swap the machine model and
+// initial timer window) and canned part::Options constructors for each
+// design.
 #pragma once
 
 #include <charconv>
@@ -11,7 +11,6 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <string>
 
 #include "agg/strategies.hpp"
 #include "bench/report.hpp"
@@ -31,21 +30,12 @@ class Cli {
       } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
         jobs_ = static_cast<std::size_t>(parse_positive(argv[i] + 7,
                                                         "--jobs"));
-      } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-        no_cache_ = true;
-      } else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0) {
-        cache_dir_ = argv[i] + 12;
       } else if (std::strncmp(argv[i], "--loggp=", 8) == 0) {
         parse_loggp(argv[i] + 8);
       } else if (std::strncmp(argv[i], "--delta0=", 9) == 0) {
         delta0_ = static_cast<Duration>(
             parse_positive(argv[i] + 9, "--delta0"));
       }
-    }
-    if (!no_cache_) {
-      cache_ = cache_dir_.empty()
-                   ? runner::ResultCache::open_default()
-                   : std::make_unique<runner::ResultCache>(cache_dir_);
     }
   }
 
@@ -69,12 +59,10 @@ class Cli {
 
   /// Runner options wired from the command line: --jobs=N worker threads
   /// (default runner::default_jobs(); 1 reproduces serial behaviour
-  /// exactly), plus the persistent result cache unless --no-cache.  The
-  /// cache lives as long as the Cli.
+  /// exactly).
   runner::RunOptions run_options() const {
     runner::RunOptions o;
     o.jobs = jobs_;
-    o.cache = cache_.get();
     return o;
   }
 
@@ -127,9 +115,6 @@ class Cli {
   bool csv_ = false;
   int iters_override_ = 0;
   std::size_t jobs_ = 0;  ///< 0 = runner default
-  bool no_cache_ = false;
-  std::string cache_dir_;
-  std::unique_ptr<runner::ResultCache> cache_;
   model::LogGPParams loggp_{};
   bool loggp_set_ = false;
   Duration delta0_ = 0;  ///< 0 = use the driver's fallback

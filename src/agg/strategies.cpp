@@ -150,8 +150,8 @@ Duration clamp_delta(Duration v, Duration lo, Duration hi) {
 }
 
 /// Canonical "alpha= eps= dmin= dmax= quantum= maxg=" fragment: every
-/// ArrivalLearnConfig knob, so the runner's content-addressed cache can
-/// never serve a plan learned under different hyper-parameters.
+/// ArrivalLearnConfig knob, so configs that learn under different
+/// hyper-parameters never share a fingerprint or a derived seed.
 std::string learn_str(const model::ArrivalLearnConfig& cfg) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),

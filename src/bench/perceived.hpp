@@ -40,8 +40,7 @@ struct PerceivedConfig {
 };
 
 /// `profiler` is left out on purpose: it observes a trial rather than
-/// shaping it, and profiler-carrying grids bypass the cache instead
-/// (run_perceived_grid).
+/// shaping it, so it must not move the fingerprint or a derived seed.
 template <typename V, FieldsOf<PerceivedConfig> S>
 void visit_fields(V&& v, S& c) {
   v(c.total_bytes, c.user_partitions, c.compute, c.noise,

@@ -1,7 +1,5 @@
 #include "bench/trial.hpp"
 
-#include <algorithm>
-
 #include "runner/fingerprint.hpp"
 
 namespace partib::bench {
@@ -20,9 +18,7 @@ std::vector<Result> run_grid(const std::vector<Config>& grid,
                              Result (*trial)(const Config&),
                              const runner::RunOptions& opts,
                              runner::RunStats* stats) {
-  return runner::run_trials<Config, Result>(
-      grid, trial, [](const Config& c) { return fingerprint(c); },
-      runner::fields_codec<Result>(), opts, stats);
+  return runner::run_trials<Config, Result>(grid, trial, opts, stats);
 }
 
 }  // namespace
@@ -93,13 +89,7 @@ std::vector<OverheadResult> run_overhead_grid(
 std::vector<PerceivedResult> run_perceived_grid(
     const std::vector<PerceivedConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  runner::RunOptions o = opts;
-  // Profiler side effects cannot replay from the cache.
-  if (std::any_of(grid.begin(), grid.end(),
-                  [](const PerceivedConfig& c) { return c.profiler; })) {
-    o.cache = nullptr;
-  }
-  return run_grid(grid, perceived_trial, o, stats);
+  return run_grid(grid, perceived_trial, opts, stats);
 }
 
 std::vector<SweepResult> run_sweep_grid(const std::vector<SweepConfig>& grid,

@@ -5,10 +5,10 @@
 // generated from the field lists beside the structs (common/fields.hpp):
 //
 //   * a `fingerprint()` — a schema tag (e.g. "overhead/v1") and then every
-//     config field; bump the tag when trial semantics change under an
-//     unchanged config, so stale cache entries self-invalidate,
-//   * a `Codec` — exact textual round-trip of the result struct for the
-//     persistent cache (integers in decimal, doubles in hexfloat),
+//     config field.  The tag is frozen: derived seeds hash it, so a new
+//     tag would re-seed every `seed == 0` trial and move pinned output,
+//   * a `Codec` — exact text of the result struct (integers in decimal,
+//     doubles in hexfloat), which perfbench's row digests hash,
 //   * a grid runner `run_*_grid()` — submit a vector of configs through
 //     runner::run_trials and get results back in submission order.
 //
@@ -60,8 +60,7 @@ ZooResult zoo_trial(const ZooConfig& cfg);
 
 /// Grid runners: results come back in submission order, so a driver that
 /// formats them sequentially emits byte-identical output for any job
-/// count.  Perceived grids that carry a profiler pointer bypass the cache
-/// (profiler side effects cannot be replayed from a cached result).
+/// count.
 std::vector<OverheadResult> run_overhead_grid(
     const std::vector<OverheadConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats = nullptr);

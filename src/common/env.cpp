@@ -39,13 +39,4 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return parsed;
 }
 
-bool env_bool(const char* name, bool fallback) {
-  auto v = env_string(name);
-  if (!v) return fallback;
-  if (*v == "0" || *v == "false" || *v == "off") return false;
-  if (*v == "1" || *v == "true" || *v == "on") return true;
-  PARTIB_ASSERT_MSG(false, "unrecognised boolean environment variable value");
-  return fallback;
-}
-
 }  // namespace partib

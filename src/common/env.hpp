@@ -19,8 +19,4 @@ std::optional<std::string> env_string(const char* name);
 /// values so typos are caught instead of silently ignored.
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Boolean lookup: unset -> fallback; "0"/"false"/"off" -> false;
-/// "1"/"true"/"on" -> true; anything else aborts.
-bool env_bool(const char* name, bool fallback);
-
 }  // namespace partib

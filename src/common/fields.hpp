@@ -1,11 +1,11 @@
 // Field lists.  A struct that is fingerprinted (runner::fingerprint_fields)
-// or cached (runner::fields_codec) names its members once, beside itself:
+// or encoded (runner::fields_codec) names its members once, beside itself:
 //
 //   template <typename V, FieldsOf<LogGPParams> S>
 //   void visit_fields(V&& v, S& p) { v(p.L, p.o_s, p.o_r, p.g, p.G); }
 //
-// The order is the fingerprint feed's and the cache payload's.  `S` may be
-// const, so one list serves the hash, the encoder and the decoder.
+// The order is the fingerprint feed's and the encoding's.  `S` may be
+// const or not, so one list serves every walk over the struct.
 // Arithmetic, enum and array members are leaves; other members recurse
 // into their own list.  A member left off its list is invisible to the
 // fingerprint: add a field and its list entry together.

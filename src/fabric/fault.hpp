@@ -17,8 +17,8 @@
 //
 // Seeding follows the runner's convention (runner/fingerprint.hpp): a
 // zero seed derives one from the FNV-1a fingerprint of the whole config,
-// so two trials with identical fault configs share a schedule and cached
-// results stay valid, exactly like trial-config fingerprints.
+// so two trials with identical fault configs share a schedule, exactly
+// like trial-config fingerprints.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,14 @@
 // Content fingerprints for trial configurations.
 //
-// The experiment runner (runner/runner.hpp) keys its persistent result
-// cache and its derived RNG seeds on a 64-bit fingerprint of the trial's
-// *entire* configuration — every field that can influence the simulated
-// timeline must be mixed in, or two genuinely different trials would
-// alias.  The hash is FNV-1a over an explicit, length-prefixed feed (no
-// struct memcpy: padding bytes and pointer values must never leak in),
-// so fingerprints are stable across processes, runs, and ASLR — exactly
-// what a content-addressed on-disk cache requires.  fingerprint_fields()
-// generates the feed from the config's field list (common/fields.hpp).
+// The experiment runner (runner/runner.hpp) derives RNG seeds from a
+// 64-bit fingerprint of the trial's *entire* configuration — every field
+// that can influence the simulated timeline must be mixed in, or two
+// genuinely different trials would share a seed.  The hash is FNV-1a over
+// an explicit, length-prefixed feed (no struct memcpy: padding bytes and
+// pointer values must never leak in), so fingerprints are stable across
+// processes, runs, and ASLR — which the pinned figure output seeded from
+// them requires.  fingerprint_fields() generates the feed from the
+// config's field list (common/fields.hpp).
 #pragma once
 
 #include <bit>
@@ -110,7 +110,8 @@ struct HashWalk {
 }  // namespace detail
 
 /// The schema tag (e.g. "overhead/v1"), then every field of `obj`'s list.
-/// Bump the tag when results change under an unchanged config.
+/// A tag is frozen: `seed == 0` trials derive their seed from this hash,
+/// so a new tag re-seeds them and moves their pinned output.
 template <typename T>
 std::uint64_t fingerprint_fields(std::string_view tag, const T& obj) {
   Hasher h;
@@ -130,7 +131,7 @@ inline std::uint64_t derive_seed(std::uint64_t fingerprint) {
   return z == 0 ? 0x9E3779B97F4A7C15ULL : z;
 }
 
-/// Fixed-width lowercase hex, the cache's on-disk key format.
+/// Fixed-width lowercase hex, the format of perfbench's row digests.
 inline std::string to_hex(std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');

@@ -1,17 +1,15 @@
 // Trial schema: the field list beside each config and result struct
 // (common/fields.hpp) is the only source of the trial fingerprints and the
-// cache codecs.  Pins what those lists must keep bit-identical, checks that
+// result codecs.  Pins what those lists must keep bit-identical, checks that
 // every listed leaf enters the hash and every member is listed, and holds
-// the fields that once aliased in the result cache to distinct keys.  The
-// last section holds each trial body run over a caller's backend to the
-// same trial run through its `(cfg)` form.
+// the fields that once shared a fingerprint to distinct ones.  The last
+// section holds each trial body run over a caller's backend to the same
+// trial run through its `(cfg)` form.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <set>
@@ -27,7 +25,6 @@
 #include "bench/trial_world.hpp"
 #include "common/fields.hpp"
 #include "common/units.hpp"
-#include "runner/result_cache.hpp"
 
 namespace partib::bench {
 namespace {
@@ -35,14 +32,14 @@ namespace {
 constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
 constexpr auto kI64Max = std::numeric_limits<std::int64_t>::max();
 constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 
 // -- pins --------------------------------------------------------------------
 
 TEST(TrialSchema, DefaultFingerprintsStayBitIdentical) {
-  // Zoo's random-permutation rows seed from these, and every cache entry
-  // on disk is keyed by them.
+  // Zoo's and connscale's `seed == 0` trials seed from these, so the
+  // values and their schema tags are frozen: a change re-seeds those
+  // trials and moves ZooSmokeCsvPinned.
   EXPECT_EQ(fingerprint(OverheadConfig{}), 0x8dcfe1f553c6825bULL);
   EXPECT_EQ(fingerprint(PerceivedConfig{}), 0xfeb7296bf4e0f190ULL);
   EXPECT_EQ(fingerprint(SweepConfig{}), 0x68f9671821f90371ULL);
@@ -212,12 +209,10 @@ TEST(TrialSchema, EveryMemberIsListed) {
                     PerceivedResult, SweepResult, HaloResult, ConnScaleResult,
                     ZooResult>();
   // The profiler observes a trial rather than shaping it: deliberately
-  // unlisted, so profiler-carrying grids bypass the cache instead.
+  // unlisted, so it moves neither the fingerprint nor a derived seed.
   EXPECT_EQ(listed_count<PerceivedConfig>() + 1,
             member_count<PerceivedConfig>());
 }
-
-// -- codecs round-trip bit-exactly -------------------------------------------
 
 /// Every leaf's bit pattern, in list order.
 struct LeafBits {
@@ -247,42 +242,73 @@ std::vector<std::uint64_t> leaf_bits(const Result& r) {
   return b.bits;
 }
 
+// -- encode is injective on edge values --------------------------------------
+
+/// Sets leaf `target` (list order) to one side of edge pair `pair` of its
+/// type: doubles have -0.0/0.0, denorm_min/0 and +inf/-inf, signed
+/// integers min/max, unsigned integers max/0.  `applied` is false when
+/// the leaf's type has no pair `pair`.
+struct SetEdge {
+  std::size_t target;
+  int pair;
+  bool first;
+  std::size_t at = 0;
+  bool applied = false;
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (set(fields), ...);
+  }
+
+  template <typename T>
+  void set(T& v) {
+    if constexpr (std::is_array_v<T>) {
+      for (auto& e : v) set(e);
+    } else if (at++ == target) {
+      using L = std::numeric_limits<T>;
+      if constexpr (std::is_floating_point_v<T>) {
+        const T pairs[3][2] = {{T(-0.0), T(0.0)},
+                               {L::denorm_min(), T(0.0)},
+                               {L::infinity(), -L::infinity()}};
+        v = pairs[pair][first ? 0 : 1];
+        applied = true;
+      } else if (pair == 0) {
+        if constexpr (std::is_signed_v<T>) {
+          v = first ? L::min() : L::max();
+        } else {
+          v = first ? L::max() : T{0};
+        }
+        applied = true;
+      }
+    }
+  }
+};
+
 template <typename Result>
-void expect_round_trip(const runner::Codec<Result>& codec, const Result& r) {
-  Result back;
-  ASSERT_TRUE(codec.decode(codec.encode(r), &back)) << codec.encode(r);
-  EXPECT_EQ(leaf_bits(back), leaf_bits(r)) << codec.encode(r);
+void expect_injective_on_edges(const runner::Codec<Result>& codec) {
+  const std::size_t leaves = leaf_bits(Result{}).size();
+  for (std::size_t k = 0; k < leaves; ++k) {
+    for (int pair = 0; pair < 3; ++pair) {
+      Result a{};
+      Result b{};
+      SetEdge to_a{k, pair, true};
+      SetEdge to_b{k, pair, false};
+      visit_fields(to_a, a);
+      visit_fields(to_b, b);
+      if (!to_a.applied) continue;
+      EXPECT_NE(codec.encode(a), codec.encode(b))
+          << typeid(Result).name() << " leaf " << k << " pair " << pair;
+    }
+  }
 }
 
-TEST(TrialSchema, CodecsRoundTripEdgeValuesBitExactly) {
-  expect_round_trip(overhead_codec(),
-                    OverheadResult{kI64Min, kI64Max, 0, kU64Max, -1});
-  expect_round_trip(perceived_codec(),
-                    PerceivedResult{-0.0, kDenormal, kInf, -kInf,
-                                    std::numeric_limits<double>::max()});
-  expect_round_trip(sweep_codec(), SweepResult{kI64Min, kI64Max, -1});
-  expect_round_trip(halo_codec(), HaloResult{kI64Max, kI64Min, 1});
-  expect_round_trip(connscale_codec(),
-                    ConnScaleResult{kI64Min, kI64Max, -1, 0, kU64Max, 0, 1,
-                                    kU64Max});
-  expect_round_trip(zoo_codec(),
-                    ZooResult{-0.0, kInf, {kDenormal, -kInf, 0.1}, kI64Min,
-                              std::numeric_limits<double>::min(), 1e300,
-                              kI64Max});
-}
-
-TEST(TrialSchema, DecodeConsumesExactlyTheListedFields) {
-  const auto codec = overhead_codec();
-  OverheadResult r;
-  EXPECT_TRUE(codec.decode("1 2 3 4 5", &r));
-  EXPECT_TRUE(codec.decode("1 2 3 4 5 \n", &r));   // trailing whitespace
-  EXPECT_FALSE(codec.decode("1 2 3 4 5 6", &r));   // stale: extra field
-  EXPECT_FALSE(codec.decode("1 2 3 4", &r));       // stale: field missing
-  EXPECT_FALSE(codec.decode("1 2 3 -4 5", &r));    // negative unsigned
-  EXPECT_FALSE(codec.decode("1 2 3 4 5x", &r));    // junk after a field
-  EXPECT_FALSE(codec.decode("9223372036854775808 2 3 4 5", &r));  // overflow
-  EXPECT_FALSE(codec.decode("0x1p+0 2 3 4 5", &r));  // double in an integer
-  EXPECT_FALSE(codec.decode("", &r));
+TEST(TrialSchema, EncodeIsInjectiveOnEdgeValues) {
+  expect_injective_on_edges(overhead_codec());
+  expect_injective_on_edges(perceived_codec());
+  expect_injective_on_edges(sweep_codec());
+  expect_injective_on_edges(halo_codec());
+  expect_injective_on_edges(connscale_codec());
+  expect_injective_on_edges(zoo_codec());
 }
 
 // -- fields the hash once skipped no longer alias ----------------------------
@@ -326,31 +352,11 @@ TEST(TrialSchema, ConnectionLimitsAndRetryBudgetEnterTheKey) {
   EXPECT_NE(fingerprint(limited), fingerprint(capped));
 }
 
-class TrialCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("partib-trial-test-" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
-};
-
-TEST_F(TrialCacheTest, FaultedTrialIsNotServedTheFaultFreeResult) {
-  runner::ResultCache cache(dir_.string());
+TEST(TrialSchema, FaultedGridRowIsTheFaultedTrial) {
+  EXPECT_NE(fingerprint(fault_free()), fingerprint(dropping()));
   runner::RunOptions opts;
   opts.jobs = 1;
-  opts.cache = &cache;
-
-  runner::RunStats cold;
-  (void)run_overhead_grid({fault_free()}, opts, &cold);
-  EXPECT_EQ(cold.executed, 1u);
-
-  runner::RunStats faulted;
-  const auto got = run_overhead_grid({dropping()}, opts, &faulted);
-  EXPECT_EQ(faulted.cache_hits, 0u);
-  EXPECT_EQ(faulted.executed, 1u);
+  const auto got = run_overhead_grid({dropping()}, opts);
   ASSERT_EQ(got.size(), 1u);
   const auto codec = overhead_codec();
   EXPECT_EQ(codec.encode(got[0]), codec.encode(run_overhead(dropping())));

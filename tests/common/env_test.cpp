@@ -50,27 +50,6 @@ TEST_F(EnvTest, IntParsesNegative) {
   EXPECT_EQ(env_int("PARTIB_TEST_INT", 0), -7);
 }
 
-TEST_F(EnvTest, BoolVariants) {
-  SetEnv("PARTIB_TEST_BOOL", "1");
-  EXPECT_TRUE(env_bool("PARTIB_TEST_BOOL", false));
-  SetEnv("PARTIB_TEST_BOOL", "true");
-  EXPECT_TRUE(env_bool("PARTIB_TEST_BOOL", false));
-  SetEnv("PARTIB_TEST_BOOL", "on");
-  EXPECT_TRUE(env_bool("PARTIB_TEST_BOOL", false));
-  SetEnv("PARTIB_TEST_BOOL", "0");
-  EXPECT_FALSE(env_bool("PARTIB_TEST_BOOL", true));
-  SetEnv("PARTIB_TEST_BOOL", "false");
-  EXPECT_FALSE(env_bool("PARTIB_TEST_BOOL", true));
-  SetEnv("PARTIB_TEST_BOOL", "off");
-  EXPECT_FALSE(env_bool("PARTIB_TEST_BOOL", true));
-}
-
-TEST_F(EnvTest, BoolFallback) {
-  ::unsetenv("PARTIB_TEST_BOOL");
-  EXPECT_TRUE(env_bool("PARTIB_TEST_BOOL", true));
-  EXPECT_FALSE(env_bool("PARTIB_TEST_BOOL", false));
-}
-
 TEST(StatusTest, ToStringCoversAllCodes) {
   EXPECT_STREQ(to_string(Status::kOk), "OK");
   EXPECT_STREQ(to_string(Status::kInvalidArgument), "INVALID_ARGUMENT");
