@@ -192,30 +192,26 @@ void on_post_send(const void* qp, const void* pd, const verbs::SendWr& wr) {
     }
   }
 
-  const bool rdma = wr.opcode == verbs::Opcode::kRdmaWrite ||
-                    wr.opcode == verbs::Opcode::kRdmaWriteWithImm;
-  if (rdma) {
-    const MrShadow* mr = find_remote(wr.rkey);
-    if (mr == nullptr) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "rkey %u is not registered",
-                    wr.rkey);
-      report("wr.rkey", name.c_str(), -1, detail);
-    } else if (!mr->contains(wr.remote_addr, total)) {
-      char detail[112];
-      std::snprintf(detail, sizeof(detail),
-                    "RDMA target [0x%llx, +%zu) outside rkey %u region "
-                    "[0x%llx, +%zu)",
-                    static_cast<unsigned long long>(wr.remote_addr), total,
-                    wr.rkey, static_cast<unsigned long long>(mr->addr),
-                    mr->len);
-      report("wr.rkey", name.c_str(), -1, detail);
-    } else if ((mr->access & verbs::kRemoteWrite) == 0) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail),
-                    "rkey %u region lacks REMOTE_WRITE access", wr.rkey);
-      report("wr.access", name.c_str(), -1, detail);
-    }
+  const MrShadow* mr = find_remote(wr.rkey);
+  if (mr == nullptr) {
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "rkey %u is not registered",
+                  wr.rkey);
+    report("wr.rkey", name.c_str(), -1, detail);
+  } else if (!mr->contains(wr.remote_addr, total)) {
+    char detail[112];
+    std::snprintf(detail, sizeof(detail),
+                  "RDMA target [0x%llx, +%zu) outside rkey %u region "
+                  "[0x%llx, +%zu)",
+                  static_cast<unsigned long long>(wr.remote_addr), total,
+                  wr.rkey, static_cast<unsigned long long>(mr->addr),
+                  mr->len);
+    report("wr.rkey", name.c_str(), -1, detail);
+  } else if ((mr->access & verbs::kRemoteWrite) == 0) {
+    char detail[64];
+    std::snprintf(detail, sizeof(detail),
+                  "rkey %u region lacks REMOTE_WRITE access", wr.rkey);
+    report("wr.access", name.c_str(), -1, detail);
   }
 
   if (wr.opcode == verbs::Opcode::kRdmaWriteWithImm) {

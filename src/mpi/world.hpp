@@ -25,7 +25,6 @@
 namespace partib::mpi {
 
 class ConnectionManager;
-class P2pEndpoint;
 
 struct WorldOptions {
   int ranks = 2;
@@ -108,11 +107,6 @@ class Rank {
   sim::FifoResource* dpu() { return dpu_.get(); }
   InitMatcher& matcher() { return matcher_; }
 
-  /// The rank's two-sided endpoint, if one was created (see mpi/p2p.hpp);
-  /// registered by the P2pEndpoint constructor for control-plane routing.
-  P2pEndpoint* p2p() { return p2p_; }
-  void set_p2p(P2pEndpoint* ep) { p2p_ = ep; }
-
   /// The rank's shared connection manager (mpi/conn.hpp), created lazily —
   /// ranks running only dedicated per-channel resources never pay for the
   /// shared CQ/SRQ.
@@ -129,7 +123,6 @@ class Rank {
   sim::FifoResource doorbell_;
   std::unique_ptr<sim::FifoResource> dpu_;
   InitMatcher matcher_;
-  P2pEndpoint* p2p_ = nullptr;
   std::unique_ptr<ConnectionManager> conn_;
 };
 

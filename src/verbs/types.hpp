@@ -81,7 +81,6 @@ class SgList {
 enum class Opcode {
   kRdmaWrite,         // IBV_WR_RDMA_WRITE
   kRdmaWriteWithImm,  // IBV_WR_RDMA_WRITE_WITH_IMM
-  kSend,              // IBV_WR_SEND (two-sided)
 };
 
 struct SendWr {
@@ -90,7 +89,7 @@ struct SendWr {
   SgList sg_list;
   /// Network-byte-order 32-bit immediate (only *_WITH_IMM delivers it).
   std::uint32_t imm = 0;
-  /// RDMA target (ignored for kSend).
+  /// RDMA target.
   std::uint64_t remote_addr = 0;
   Rkey rkey = 0;
   /// Simulator extension: scales the per-QP wire-rate cap for this WR.
@@ -101,8 +100,9 @@ struct SendWr {
 
 struct RecvWr {
   std::uint64_t wr_id = 0;
-  /// Landing buffers for kSend traffic; RDMA-write-with-immediate consumes
-  /// the WR but writes through the rkey'd region instead.
+  /// Validated against the MRs at post time, as ibverbs does, but never
+  /// written: RDMA-write-with-immediate consumes the WR and lands its
+  /// payload through the rkey'd region instead.
   SgList sg_list;
 };
 
@@ -111,7 +111,6 @@ enum class WcStatus {
   kLocalProtectionError,  // sge outside a registered MR
   kRemoteAccessError,     // bad rkey / range / permissions at the target
   kRemoteNotReady,        // no receive WR posted at the target
-  kLocalLengthError,      // receive buffer too small for incoming send
   kRetryExcErr,           // transport retry count exceeded (IBV_WC_RETRY_EXC_ERR)
   kRnrRetryExcErr,        // RNR NAK retry count exceeded (IBV_WC_RNR_RETRY_EXC_ERR)
   kWrFlushErr,            // WR flushed: QP entered the error state (IBV_WC_WR_FLUSH_ERR)
@@ -119,8 +118,6 @@ enum class WcStatus {
 
 enum class WcOpcode {
   kRdmaWrite,       // send-side completion of an RDMA write
-  kSend,            // send-side completion of a two-sided send
-  kRecv,            // receive completion of a two-sided send
   kRecvRdmaWithImm, // receive completion of RDMA_WRITE_WITH_IMM
 };
 
@@ -156,6 +153,8 @@ struct SrqAttrs {
 /// receive ring and the SRQ slab (verbs.hpp).
 struct PostedRecv {
   RecvWr wr;
+  /// Sum of the SGE lengths.  Nothing reads it, but its bytes count in
+  /// every receive queue's ResourceFootprint, which the incast pins hash.
   std::size_t total_length = 0;
 };
 
@@ -165,7 +164,6 @@ constexpr const char* to_string(WcStatus s) {
     case WcStatus::kLocalProtectionError: return "LOCAL_PROTECTION_ERROR";
     case WcStatus::kRemoteAccessError: return "REMOTE_ACCESS_ERROR";
     case WcStatus::kRemoteNotReady: return "REMOTE_NOT_READY";
-    case WcStatus::kLocalLengthError: return "LOCAL_LENGTH_ERROR";
     case WcStatus::kRetryExcErr: return "RETRY_EXC_ERR";
     case WcStatus::kRnrRetryExcErr: return "RNR_RETRY_EXC_ERR";
     case WcStatus::kWrFlushErr: return "WR_FLUSH_ERR";

@@ -342,7 +342,6 @@ PARTIB_HOT Status Qp::post_send(const SendWr& wr) {
   PARTIB_CHECK_HOOK(on_send_accepted(this));
   backend::Transport& fab = pd_.context().device().fab();
   const bool with_imm = wr.opcode == Opcode::kRdmaWriteWithImm;
-  const bool wants_recv_cqe = with_imm || wr.opcode == Opcode::kSend;
 
   // Stage the WR in a slab slot so every fabric callback captures only
   // {this, slot} — 12 bytes, inside std::function's small-object buffer.
@@ -352,7 +351,7 @@ PARTIB_HOT Status Qp::post_send(const SendWr& wr) {
   Wqe& wqe = wqes_[slot];
   wqe.wr = wr;
   wqe.result = DeliveryResult{};
-  wqe.refs = wants_recv_cqe ? 2 : 1;
+  wqe.refs = with_imm ? 2 : 1;
 
   fabric::RdmaOp op;
   op.src = pd_.context().node();
@@ -364,7 +363,7 @@ PARTIB_HOT Status Qp::post_send(const SendWr& wr) {
   op.on_send_complete = [this, slot](Time when) {
     wqe_send_complete(slot, when);
   };
-  if (wants_recv_cqe) {
+  if (with_imm) {
     op.on_recv_complete = [this, slot](Time when) {
       wqe_recv_complete(slot, when);
     };
@@ -380,12 +379,8 @@ void Qp::wqe_move_data(std::uint32_t slot) {
   // Runs exactly at landing, strictly before either completion callback.
   const bool copy = pd_.context().device().fab().copies_data();
   const SendWr& wr = wqes_[slot].wr;
-  const DeliveryResult res =
-      wr.opcode == Opcode::kSend
-          ? remote_->deliver_send(wr, copy)
-          : remote_->deliver_rdma_write(
-                wr, wr.opcode == Opcode::kRdmaWriteWithImm, copy);
-  wqes_[slot].result = res;
+  wqes_[slot].result = remote_->deliver_rdma_write(
+      wr, wr.opcode == Opcode::kRdmaWriteWithImm, copy);
 }
 
 void Qp::wqe_send_complete(std::uint32_t slot, Time when) {
@@ -394,16 +389,16 @@ void Qp::wqe_send_complete(std::uint32_t slot, Time when) {
 }
 
 void Qp::wqe_recv_complete(std::uint32_t slot, Time when) {
+  // Only RDMA-write-with-immediate raises a receive CQE.
   const Wqe& wqe = wqes_[slot];
   if (wqe.result.recv_wr_consumed) {
-    const bool with_imm = wqe.wr.opcode == Opcode::kRdmaWriteWithImm;
     Wc wc;
     wc.wr_id = wqe.result.recv_wr_id;
     wc.status = wqe.result.status;
-    wc.opcode = with_imm ? WcOpcode::kRecvRdmaWithImm : WcOpcode::kRecv;
+    wc.opcode = WcOpcode::kRecvRdmaWithImm;
     wc.byte_len = wqe.result.byte_len;
-    wc.imm = with_imm ? wqe.wr.imm : 0;
-    wc.has_imm = with_imm;
+    wc.imm = wqe.wr.imm;
+    wc.has_imm = true;
     wc.qp_num = remote_->qp_num();
     wc.completion_time = when;
     remote_->recv_cq_.push(wc);
@@ -478,47 +473,6 @@ Qp::DeliveryResult Qp::deliver_rdma_write(const SendWr& wr, bool with_imm,
   return res;
 }
 
-Qp::DeliveryResult Qp::deliver_send(const SendWr& wr, bool copy_data) {
-  DeliveryResult res;
-  std::size_t total = 0;
-  for (const Sge& sge : wr.sg_list) total += sge.length;
-  res.byte_len = static_cast<std::uint32_t>(total);
-
-  PostedRecv posted;
-  if (!take_recv(&posted)) {
-    res.status = WcStatus::kRemoteNotReady;
-    return res;
-  }
-  res.recv_wr_consumed = true;
-  res.recv_wr_id = posted.wr.wr_id;
-  if (total > posted.total_length) {
-    res.status = WcStatus::kLocalLengthError;
-    return res;
-  }
-  if (copy_data) {
-    // Scatter the gathered send stream across the receive sges.
-    std::size_t recv_idx = 0;
-    std::uint64_t recv_off = 0;
-    for (const Sge& src : wr.sg_list) {
-      std::size_t copied = 0;
-      while (copied < src.length) {
-        const Sge& dst = posted.wr.sg_list[recv_idx];
-        const std::size_t space = dst.length - recv_off;
-        const std::size_t n = std::min(space, src.length - copied);
-        backend::dma_copy(wire_ptr(dst.addr + recv_off),
-                          wire_ptr(src.addr + copied), n);
-        copied += n;
-        recv_off += n;
-        if (recv_off == dst.length) {
-          ++recv_idx;
-          recv_off = 0;
-        }
-      }
-    }
-  }
-  return res;
-}
-
 void Qp::complete_send(const SendWr& wr, const DeliveryResult& result,
                        Time when) {
   --outstanding_;
@@ -526,8 +480,7 @@ void Qp::complete_send(const SendWr& wr, const DeliveryResult& result,
   Wc wc;
   wc.wr_id = wr.wr_id;
   wc.status = result.status;
-  wc.opcode =
-      wr.opcode == Opcode::kSend ? WcOpcode::kSend : WcOpcode::kRdmaWrite;
+  wc.opcode = WcOpcode::kRdmaWrite;
   wc.byte_len = result.byte_len;
   wc.qp_num = qp_num_;
   wc.completion_time = when;

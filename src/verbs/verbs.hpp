@@ -445,7 +445,6 @@ class Qp {
 
   DeliveryResult deliver_rdma_write(const SendWr& wr, bool with_imm,
                                     bool copy_data);
-  DeliveryResult deliver_send(const SendWr& wr, bool copy_data);
 
   void complete_send(const SendWr& wr, const DeliveryResult& result,
                      Time when);

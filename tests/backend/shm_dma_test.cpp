@@ -9,8 +9,8 @@
 //     land their bytes (all but one take the memcpy fallback);
 //   * a transport is destroyed cleanly whether its helpers are parked or
 //     never started;
-//   * the verbs two-sided path scatters a 1 MiB send over three receive
-//     SGEs through the engine.
+//   * a 1 MiB verbs RDMA-write-with-immediate gathers three send SGEs
+//     into one contiguous landing through the engine.
 //
 // Carries the `threaded` label: TSan checks the cursor/done hand-off.
 #include <gtest/gtest.h>
@@ -234,53 +234,57 @@ TEST(ShmDma, DestroysTransportWhoseHelpersNeverStarted) {
   EXPECT_EQ(unused.started(), 0u);
 }
 
-TEST(ShmDma, VerbsSendScattersOverThreeReceiveSges) {
-  // A 1 MiB two-sided send from an unaligned source, scattered over three
-  // receive SGEs with gaps between them: two pieces are large enough to
-  // split, the last one is not.  The gaps must stay untouched.
-  constexpr std::size_t kSend = 1 * MiB;
+TEST(ShmDma, VerbsWriteGathersThreeSendSges) {
+  // A 1 MiB RDMA-write-with-immediate gathered from three send SGEs with
+  // gaps between them, landing at an unaligned remote address: two pieces
+  // are large enough to split, the last one is not.  The bytes around the
+  // landing must stay untouched.
+  constexpr std::size_t kWrite = 1 * MiB;
   constexpr std::size_t kPiece[3] = {300 * KiB + 7, 512 * KiB,
-                                     kSend - (300 * KiB + 7) - 512 * KiB};
+                                     kWrite - (300 * KiB + 7) - 512 * KiB};
   constexpr std::size_t kGap = 4 * KiB + 1;
   test::current_backend() = "shm";
   test::BackendVerbsFx fx;
   test::current_backend() = "des";
-  std::vector<std::byte> sbuf(kSend + 3);
-  std::vector<std::byte> rbuf(kSend + 4 * kGap);
+  std::vector<std::byte> sbuf(kWrite + 4 * kGap);
+  std::vector<std::byte> rbuf(kWrite + 2 * kGap);
   fill(sbuf, 3);
   std::fill(rbuf.begin(), rbuf.end(), std::byte{0xEE});
   verbs::Mr& smr = fx.spd->register_mr(sbuf, verbs::kLocalRead);
-  verbs::Mr& rmr = fx.rpd->register_mr(rbuf, verbs::kLocalWrite);
+  verbs::Mr& rmr = fx.rpd->register_mr(
+      rbuf, verbs::kLocalWrite | verbs::kRemoteWrite);
   auto [s, r] = fx.connected_pair();
 
   verbs::RecvWr rwr;
   rwr.wr_id = 5;
-  std::size_t at = kGap;
-  std::vector<std::byte> want(rbuf);
-  std::size_t from = 3;
-  for (const std::size_t piece : kPiece) {
-    rwr.sg_list.push_back(verbs::Sge{rmr.addr() + at,
-                                     static_cast<std::uint32_t>(piece),
-                                     rmr.lkey()});
-    std::memcpy(want.data() + at, sbuf.data() + from, piece);
-    at += piece + kGap;
-    from += piece;
-  }
   ASSERT_TRUE(ok(r->post_recv(rwr)));
   verbs::SendWr wr;
-  wr.opcode = verbs::Opcode::kSend;
-  wr.sg_list.push_back(verbs::Sge{smr.addr() + 3,
-                                  static_cast<std::uint32_t>(kSend),
-                                  smr.lkey()});
+  wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
+  wr.imm = 3;
+  wr.remote_addr = rmr.addr() + kGap;
+  wr.rkey = rmr.rkey();
+  std::vector<std::byte> want(rbuf);
+  std::size_t at = kGap;
+  std::size_t from = kGap;
+  for (const std::size_t piece : kPiece) {
+    wr.sg_list.push_back(verbs::Sge{smr.addr() + from,
+                                    static_cast<std::uint32_t>(piece),
+                                    smr.lkey()});
+    std::memcpy(want.data() + at, sbuf.data() + from, piece);
+    at += piece;
+    from += piece + kGap;
+  }
   ASSERT_TRUE(ok(s->post_send(wr)));
   fx.drive();
 
   const std::vector<verbs::Wc> wcs = fx.drain(*fx.rcq);
   ASSERT_EQ(wcs.size(), 1u);
   EXPECT_EQ(wcs[0].status, verbs::WcStatus::kSuccess);
+  EXPECT_EQ(wcs[0].opcode, verbs::WcOpcode::kRecvRdmaWithImm);
   EXPECT_EQ(wcs[0].wr_id, 5u);
-  EXPECT_EQ(wcs[0].byte_len, kSend);
-  EXPECT_EQ(rbuf, want);
+  EXPECT_EQ(wcs[0].imm, 3u);
+  EXPECT_EQ(wcs[0].byte_len, kWrite);
+  EXPECT_EQ(std::memcmp(rbuf.data(), want.data(), rbuf.size()), 0);
 }
 
 }  // namespace

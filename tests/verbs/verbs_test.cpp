@@ -25,7 +25,6 @@ using Memory = test::BackendTest;
 using RdmaWrite = test::BackendTest;
 using OutstandingLimit = test::BackendTest;
 using RecvQueueLimit = test::BackendTest;
-using TwoSided = test::BackendTest;
 using Cq = test::BackendTest;
 
 TEST_P(QpStateMachine, LegalTransitionChain) {
@@ -263,46 +262,6 @@ TEST_P(RecvQueueLimit, PostRecvBeyondCapFails) {
   EXPECT_EQ(r->post_recv(RecvWr{}), Status::kResourceExhausted);
 }
 
-TEST_P(TwoSided, SendRecvDeliversIntoPostedBuffer) {
-  Fx fx;
-  auto [s, r] = fx.connected_pair();
-  std::memset(fx.sbuf.data(), 0x5C, 512);
-  RecvWr rwr;
-  rwr.wr_id = 9;
-  rwr.sg_list.push_back(Sge{fx.rmr->addr(), 1024, fx.rmr->lkey()});
-  ASSERT_TRUE(ok(r->post_recv(rwr)));
-  SendWr wr;
-  wr.opcode = Opcode::kSend;
-  wr.sg_list.push_back(Sge{reinterpret_cast<std::uint64_t>(fx.sbuf.data()),
-                           512, fx.smr->lkey()});
-  ASSERT_TRUE(ok(s->post_send(wr)));
-  fx.drive();
-  Wc wc[4];
-  ASSERT_EQ(fx.rcq->poll(std::span<Wc>(wc)), 1);
-  EXPECT_EQ(wc[0].opcode, WcOpcode::kRecv);
-  EXPECT_EQ(wc[0].wr_id, 9u);
-  EXPECT_EQ(wc[0].byte_len, 512u);
-  EXPECT_FALSE(wc[0].has_imm);
-  EXPECT_EQ(std::memcmp(fx.rbuf.data(), fx.sbuf.data(), 512), 0);
-}
-
-TEST_P(TwoSided, SendLargerThanRecvBufferIsLengthError) {
-  Fx fx;
-  auto [s, r] = fx.connected_pair();
-  RecvWr rwr;
-  rwr.sg_list.push_back(Sge{fx.rmr->addr(), 64, fx.rmr->lkey()});
-  ASSERT_TRUE(ok(r->post_recv(rwr)));
-  SendWr wr;
-  wr.opcode = Opcode::kSend;
-  wr.sg_list.push_back(Sge{reinterpret_cast<std::uint64_t>(fx.sbuf.data()),
-                           128, fx.smr->lkey()});
-  ASSERT_TRUE(ok(s->post_send(wr)));
-  fx.drive();
-  Wc wc[4];
-  ASSERT_EQ(fx.rcq->poll(std::span<Wc>(wc)), 1);
-  EXPECT_EQ(wc[0].status, WcStatus::kLocalLengthError);
-}
-
 TEST_P(Cq, PollReturnsAtMostRequested) {
   Fx fx;
   auto [s, r] = fx.connected_pair();
@@ -347,7 +306,6 @@ PARTIB_INSTANTIATE_BACKENDS(Memory);
 PARTIB_INSTANTIATE_BACKENDS(RdmaWrite);
 PARTIB_INSTANTIATE_BACKENDS(OutstandingLimit);
 PARTIB_INSTANTIATE_BACKENDS(RecvQueueLimit);
-PARTIB_INSTANTIATE_BACKENDS(TwoSided);
 PARTIB_INSTANTIATE_BACKENDS(Cq);
 
 }  // namespace

@@ -7,7 +7,7 @@
 std::atomic<bool> progress_scheduled_{false};
 std::atomic<unsigned long> counters_[8];
 
-// Straight-line coalescing exchange (the psend/precv/p2p idiom): not a
+// Straight-line coalescing exchange (the psend/precv idiom): not a
 // loop condition, not a spin.
 void schedule_progress() {
   if (progress_scheduled_.exchange(true, std::memory_order_acq_rel)) return;
