@@ -428,32 +428,6 @@ void BM_SharedCqDemux(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedCqDemux);
 
-void BM_ConnSetupTeardown(benchmark::State& state) {
-  // Full lazy-establishment round trip at cap: connect drives the
-  // control-plane handshake to RTS on both sides, release leaves the
-  // slot warm, and the next connect recycles it through
-  // ERROR->RESET->INIT->RTR->RTS (the Ibdxnet churn pattern).
-  mpi::WorldOptions wopts;
-  wopts.ranks = 2;
-  wopts.conn_max_connections = 1;
-  backend::DesBackend des(mpi::backend_config(wopts));
-  mpi::World world(des, wopts);
-  mpi::ConnectionManager& active = world.rank(0).connections();
-  mpi::ConnectionManager& passive = world.rank(1).connections();
-  std::uint64_t token = 1;
-  for (auto _ : state) {
-    passive.expect(token, [](mpi::ConnectionManager::Connection&) {});
-    const auto id = active.connect(
-        /*peer=*/1, /*qp_count=*/2, token,
-        [](mpi::ConnectionManager::Connection&) {});
-    des.run_until_idle();
-    active.release(id);
-    ++token;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ConnSetupTeardown);
-
 void BM_IncastHandshake(benchmark::State& state) {
   // Channel setup at the incast hot rank, no rounds: N shared-mode
   // Psend_init/Precv_init pairs into rank 0 (N handshakes through rank
@@ -498,7 +472,7 @@ void BM_IncastHandshake(benchmark::State& state) {
     }
     des.run_until_idle();  // connection establishment
     benchmark::DoNotOptimize(
-        world.rank(0).connections().established_connections());
+        world.rank(0).connections().total_establishments());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           peers);

@@ -83,7 +83,6 @@ ConnScaleResult run_connscale(backend::Backend& be,
   if (world.rank(0).has_connections()) {
     const mpi::ConnectionManager& mgr = world.rank(0).connections();
     r.establishments = mgr.total_establishments();
-    r.recycles = mgr.total_recycles();
   }
   return r;
 }

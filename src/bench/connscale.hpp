@@ -46,6 +46,8 @@ struct ConnScaleResult {
   std::uint64_t hot_resident_bytes = 0;
   /// Connection-manager counters (0 in dedicated mode).
   std::uint64_t establishments = 0;
+  /// Always 0: connections are never recycled.  Kept because perfbench's
+  /// row digest hashes every result leaf.
   std::uint64_t recycles = 0;
 };
 

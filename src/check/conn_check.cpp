@@ -6,14 +6,6 @@
 
 namespace partib::check {
 
-void on_conn_over_cap(const void* /*mgr*/, int active, int cap) {
-  char detail[96];
-  std::snprintf(detail, sizeof(detail),
-                "%d connections established, cap=%d and none recyclable",
-                active, cap);
-  report("conn.cap", "conn_manager", -1, detail);
-}
-
 void on_conn_demux_miss(const void* /*router*/, std::uint32_t qp_num) {
   char detail[80];
   std::snprintf(detail, sizeof(detail),

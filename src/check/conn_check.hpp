@@ -1,21 +1,15 @@
 // Checker hooks for the connection-scale layer (mpi/conn.hpp).
 //
-// Unlike the verbs/part shadows these hooks carry no independent state:
-// the conditions they police (an establishment pushing past the
-// configured cap, a shared-CQ completion arriving for a qp_num nobody
-// bound) are detected by the manager itself; the hooks turn them into
-// registered-rule diagnostics and compile away with PARTIB_CHECK=OFF like
-// every other hook (check/hooks.hpp).
+// Unlike the verbs/part shadows this hook carries no independent state:
+// the condition it polices (a shared-CQ completion arriving for a qp_num
+// nobody bound) is detected by the router itself; the hook turns it into
+// a registered-rule diagnostic and compiles away with PARTIB_CHECK=OFF
+// like every other hook (check/hooks.hpp).
 #pragma once
 
 #include <cstdint>
 
 namespace partib::check {
-
-/// A connection was established while `active` were already established
-/// and the manager's cap is `cap` (rule conn.cap).  Only called when the
-/// cap is exceeded — the manager proceeds (soft cap), the checker records.
-void on_conn_over_cap(const void* mgr, int active, int cap);
 
 /// A completion polled from the shared CQ carried a qp_num with no bound
 /// handler (rule conn.demux); the completion is dropped.

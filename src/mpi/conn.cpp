@@ -1,7 +1,5 @@
 #include "mpi/conn.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "check/hooks.hpp"
@@ -103,20 +101,26 @@ int WcRouter::drain(verbs::Cq& cq) {
 
 namespace {
 
-verbs::Srq& make_srq(Rank& rank, const ConnConfig& cfg) {
+// SRQ provisioning floor; reserve_recv_wrs grows the SRQ past it when the
+// channels' reservations outrun it.
+constexpr int kSrqFloor = 1024;
+// SRQ low watermark: the limit event schedules a refill when the posted
+// count drops below it (dispatch() refills after every batch too).
+constexpr int kSrqLimit = 64;
+
+verbs::Srq& make_srq(Rank& rank) {
   verbs::SrqAttrs attrs;
-  attrs.max_wr = std::max(cfg.srq_capacity, 1);
-  attrs.srq_limit = std::clamp(cfg.srq_limit, 0, attrs.max_wr - 1);
+  attrs.max_wr = kSrqFloor;
+  attrs.srq_limit = kSrqLimit;
   return rank.pd().create_srq(attrs);
 }
 
 }  // namespace
 
-ConnectionManager::ConnectionManager(Rank& rank, const ConnConfig& cfg)
+ConnectionManager::ConnectionManager(Rank& rank)
     : rank_(rank),
-      cfg_(cfg),
-      cq_(rank.context().create_cq(cfg.cq_depth)),
-      srq_(make_srq(rank, cfg)) {
+      cq_(rank.context().create_cq(rank.world().options().cq_depth)),
+      srq_(make_srq(rank)) {
   cq_.set_on_push([this] { schedule_dispatch(); });
   srq_.set_on_limit([this] { schedule_refill(); });
 }
@@ -134,11 +138,10 @@ void ConnectionManager::unbind(std::uint32_t qp_num) {
 void ConnectionManager::reserve_recv_wrs(std::size_t n) {
   reserve_target_ += n;
   if (reserve_target_ > static_cast<std::size_t>(srq_.attrs().max_wr)) {
-    // Demand outran the provisioning floor: grow the SRQ (keeping the bound
-    // above the armed limit, which resize() rejects crossing).
-    const int want = std::max<int>(static_cast<int>(reserve_target_),
-                                   srq_.attrs().srq_limit + 1);
-    PARTIB_ASSERT(ok(srq_.resize(want)));
+    // Demand outran the provisioning floor: grow the SRQ.  The new bound
+    // exceeds the floor, so it stays above the armed limit, which
+    // resize() rejects crossing.
+    PARTIB_ASSERT(ok(srq_.resize(static_cast<int>(reserve_target_))));
   }
   refill_srq();
 }
@@ -152,10 +155,7 @@ ConnectionManager::ConnId ConnectionManager::connect(int peer, int qp_count,
                                                      std::uint64_t token,
                                                      Ready on_ready) {
   PARTIB_ASSERT(peer >= 0 && peer != rank_.id());
-  Connection& conn = acquire_slot(peer, qp_count);
-  conn.peer = peer;
-  conn.leased = true;
-  touch(conn);
+  Connection& conn = add_connection(peer, qp_count);
   pending_ready_[conn.id] = std::move(on_ready);
 
   std::vector<std::uint32_t> qp_nums;
@@ -173,19 +173,7 @@ ConnectionManager::ConnId ConnectionManager::connect(int peer, int qp_count,
 }
 
 void ConnectionManager::release(ConnId id) {
-  Connection& conn = connection(id);
-  PARTIB_ASSERT(conn.leased);
-  for (verbs::Qp* qp : conn.qps) router_.unbind(qp->qp_num());
-  conn.leased = false;
-  if (!conn.established) free_slot(conn);
-  touch(conn);
-}
-
-void ConnectionManager::note_posted(ConnId id, std::size_t bytes) {
-  Connection& conn = connection(id);
-  conn.stats.bytes += bytes;
-  total_bytes_ += bytes;
-  touch(conn);
+  for (verbs::Qp* qp : connection(id).qps) router_.unbind(qp->qp_num());
 }
 
 ConnectionManager::Connection& ConnectionManager::connection(ConnId id) {
@@ -210,42 +198,24 @@ void ConnectionManager::on_connect_request(
   Ready on_accept = std::move(it->second);
   expected_.erase(it);
 
-  Connection& conn = acquire_slot(from, static_cast<int>(qp_nums.size()));
-  conn.peer = from;
-  conn.leased = true;
-  conn.remote_id = origin;
-  for (std::size_t i = 0; i < conn.qps.size(); ++i) {
-    PARTIB_ASSERT(ok(conn.qps[i]->to_rtr(qp_nums[i])));
-    PARTIB_ASSERT(ok(conn.qps[i]->to_rts()));
-  }
-  mark_established(conn);
-  touch(conn);
+  Connection& conn = add_connection(from, static_cast<int>(qp_nums.size()));
+  establish(conn, qp_nums);
 
   std::vector<std::uint32_t> mine;
   mine.reserve(conn.qps.size());
   for (verbs::Qp* qp : conn.qps) mine.push_back(qp->qp_num());
 
   ConnectionManager* origin_mgr = &rank_.world().rank(from).connections();
-  const ConnId remote_id = conn.id;
-  rank_.world().send_control(
-      rank_.id(), from, [origin_mgr, origin, mine, remote_id] {
-        origin_mgr->on_connect_reply(origin, mine, remote_id);
-      });
+  rank_.world().send_control(rank_.id(), from, [origin_mgr, origin, mine] {
+    origin_mgr->on_connect_reply(origin, mine);
+  });
   on_accept(conn);
 }
 
 void ConnectionManager::on_connect_reply(
-    ConnId local, const std::vector<std::uint32_t>& qp_nums,
-    ConnId remote_id) {
+    ConnId local, const std::vector<std::uint32_t>& qp_nums) {
   Connection& conn = connection(local);
-  PARTIB_ASSERT(qp_nums.size() == conn.qps.size());
-  conn.remote_id = remote_id;
-  for (std::size_t i = 0; i < conn.qps.size(); ++i) {
-    PARTIB_ASSERT(ok(conn.qps[i]->to_rtr(qp_nums[i])));
-    PARTIB_ASSERT(ok(conn.qps[i]->to_rts()));
-  }
-  mark_established(conn);
-  touch(conn);
+  establish(conn, qp_nums);
 
   auto it = pending_ready_.find(local);
   PARTIB_ASSERT(it != pending_ready_.end());
@@ -254,107 +224,30 @@ void ConnectionManager::on_connect_reply(
   on_ready(conn);
 }
 
-void ConnectionManager::on_disconnect(ConnId local) {
-  Connection& conn = connection(local);
-  if (!conn.established) return;
-  for (verbs::Qp* qp : conn.qps) {
-    router_.unbind(qp->qp_num());
-    PARTIB_ASSERT_MSG(qp->outstanding_send_wrs() == 0,
-                      "disconnect with WRs in flight");
-    if (qp->state() != verbs::QpState::kReset) {
-      PARTIB_ASSERT(ok(qp->to_reset()));
-    }
-  }
-  mark_torn_down(conn);
-  if (!conn.leased) free_slot(conn);
-}
-
-ConnectionManager::Connection& ConnectionManager::acquire_slot(int peer,
-                                                               int qp_count) {
-  // 1. Reuse the lowest-id slot whose previous connection was already
-  //    torn down.  An entry is stale if its slot was re-established (a
-  //    reply landing after release) or taken since; skip it.
-  while (!free_slots_.empty()) {
-    std::pop_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
-    Connection& conn = connection(free_slots_.back());
-    free_slots_.pop_back();
-    if (conn.established || conn.leased) continue;
-    prepare_qps(conn, qp_count);
-    return conn;
-  }
-  // 2. At the cap: recycle the least-recently-used idle connection.
-  const int cap = cfg_.max_connections;
-  if (cap > 0 && established_ >= cap) {
-    Connection* victim = nullptr;
-    for (auto& c : conns_) {
-      if (c->established && !c->leased &&
-          (victim == nullptr || c->last_use < victim->last_use)) {
-        victim = c.get();
-      }
-    }
-    if (victim != nullptr) {
-      recycle(*victim);
-      prepare_qps(*victim, qp_count);
-      return *victim;
-    }
-    // Every established connection is leased: a soft cap proceeds anyway
-    // and the checker records the overshoot.
-    PARTIB_CHECK_HOOK(
-        on_conn_over_cap(this, established_, cap));
-  }
-  // 3. Fresh slot.
+ConnectionManager::Connection& ConnectionManager::add_connection(
+    int peer, int qp_count) {
+  PARTIB_ASSERT(qp_count > 0);
   auto conn = std::make_unique<Connection>();
   conn->id = static_cast<ConnId>(conns_.size());
   conn->peer = peer;
+  for (int i = 0; i < qp_count; ++i) {
+    verbs::Qp& qp = rank_.pd().create_qp(cq_, cq_, verbs::QpCaps{}, &srq_);
+    PARTIB_ASSERT(ok(qp.to_init()));
+    conn->qps.push_back(&qp);
+  }
   conns_.push_back(std::move(conn));
-  prepare_qps(*conns_.back(), qp_count);
   return *conns_.back();
 }
 
-void ConnectionManager::recycle(Connection& conn) {
-  PARTIB_ASSERT(conn.established && !conn.leased);
-  // Tell the peer so its half of the chain is reset and freed too.
-  if (conn.remote_id != kNilConn) {
-    ConnectionManager* peer_mgr =
-        &rank_.world().rank(conn.peer).connections();
-    const ConnId remote_id = conn.remote_id;
-    rank_.world().send_control(rank_.id(), conn.peer,
-                               [peer_mgr, remote_id] {
-                                 peer_mgr->on_disconnect(remote_id);
-                               });
+void ConnectionManager::establish(Connection& conn,
+                                  const std::vector<std::uint32_t>& qp_nums) {
+  PARTIB_ASSERT(!conn.established && qp_nums.size() == conn.qps.size());
+  for (std::size_t i = 0; i < conn.qps.size(); ++i) {
+    PARTIB_ASSERT(ok(conn.qps[i]->to_rtr(qp_nums[i])));
+    PARTIB_ASSERT(ok(conn.qps[i]->to_rts()));
   }
-  for (verbs::Qp* qp : conn.qps) {
-    router_.unbind(qp->qp_num());
-    PARTIB_ASSERT_MSG(qp->outstanding_send_wrs() == 0,
-                      "recycling a connection with WRs in flight");
-    if (qp->state() != verbs::QpState::kReset) {
-      PARTIB_ASSERT(ok(qp->to_reset()));
-    }
-  }
-  mark_torn_down(conn);
-  ++conn.stats.recycles;
-  ++total_recycles_;
-}
-
-void ConnectionManager::prepare_qps(Connection& conn, int qp_count) {
-  PARTIB_ASSERT(qp_count > 0);
-  // Reuse the slot's existing chain members (RESET -> INIT); any extras
-  // stay parked in the Pd (the sim has no ibv_destroy_qp, and a parked
-  // RESET QP provisions only its send slab).
-  if (static_cast<int>(conn.qps.size()) > qp_count) {
-    conn.qps.resize(static_cast<std::size_t>(qp_count));
-  }
-  for (verbs::Qp* qp : conn.qps) {
-    if (qp->state() != verbs::QpState::kReset) {
-      PARTIB_ASSERT(ok(qp->to_reset()));
-    }
-    PARTIB_ASSERT(ok(qp->to_init()));
-  }
-  while (static_cast<int>(conn.qps.size()) < qp_count) {
-    verbs::Qp& qp = rank_.pd().create_qp(cq_, cq_, cfg_.qp_caps, &srq_);
-    PARTIB_ASSERT(ok(qp.to_init()));
-    conn.qps.push_back(&qp);
-  }
+  conn.established = true;
+  ++total_establishments_;
 }
 
 void ConnectionManager::refill_srq() {
@@ -366,8 +259,7 @@ void ConnectionManager::refill_srq() {
     PARTIB_ASSERT(ok(srq_.post_recv(wr)));
   }
   // Re-arm the one-shot low-watermark event for the next drain.
-  const int limit = std::clamp(cfg_.srq_limit, 0, srq_.attrs().max_wr - 1);
-  if (limit > 0) PARTIB_ASSERT(ok(srq_.arm_limit(limit)));
+  PARTIB_ASSERT(ok(srq_.arm_limit(kSrqLimit)));
 }
 
 void ConnectionManager::schedule_refill() {
@@ -396,30 +288,6 @@ void ConnectionManager::dispatch() {
   // so a quiet SRQ never sits below the reservation waiting for the limit
   // event.
   if (srq_.posted() < reserve_target_) refill_srq();
-}
-
-void ConnectionManager::mark_established(Connection& conn) {
-  PARTIB_ASSERT(!conn.established);
-  conn.established = true;
-  ++established_;
-  ++conn.stats.establishments;
-  ++total_establishments_;
-}
-
-void ConnectionManager::mark_torn_down(Connection& conn) {
-  PARTIB_ASSERT(conn.established);
-  conn.established = false;
-  conn.remote_id = kNilConn;
-  --established_;
-}
-
-void ConnectionManager::free_slot(Connection& conn) {
-  free_slots_.push_back(conn.id);
-  std::push_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
-}
-
-void ConnectionManager::touch(Connection& conn) {
-  conn.last_use = ++use_clock_;
 }
 
 }  // namespace partib::mpi

@@ -14,9 +14,9 @@
 //   * completions are demultiplexed by wc.qp_num through a hash table
 //     sized by the rank's own QPs (WcRouter) — one hash and probe per
 //     CQE, preserving the allocation-free poll path;
-//   * QP chains are created lazily, on the first send toward a peer, and
-//     recycled LRU through the PR 5 ERROR→RESET→INIT→RTR→RTS machinery
-//     when the configured connection cap is hit.
+//   * QP chains are created lazily, on the first send toward a peer, one
+//     fresh chain per connect().  Like the paper's per-channel QPs they
+//     are brought to RTS once and never torn down or reused.
 //
 // Channels opt in with part::Options::shared_resources; the dedicated
 // per-channel path remains the default (and keeps the figure fingerprints
@@ -36,21 +36,6 @@
 namespace partib::mpi {
 
 class Rank;
-
-/// Manager knobs, resolved from WorldOptions by Rank::connections().
-struct ConnConfig {
-  /// Concurrent established-connection cap; 0 = uncapped.  A soft cap:
-  /// when no idle connection can be recycled the manager proceeds and
-  /// PARTIB_CHECK records rule conn.cap.
-  int max_connections = 0;
-  /// SRQ provisioning floor; grows with reserve_recv_wrs demand.
-  int srq_capacity = 1024;
-  /// SRQ low watermark: refills are scheduled when the posted count drops
-  /// below it (plus after every dispatch batch).
-  int srq_limit = 64;
-  int cq_depth = 1 << 16;
-  verbs::QpCaps qp_caps{};
-};
 
 /// wc.qp_num -> handler table for shared-CQ demultiplexing.
 /// qp_nums are device-wide, so a rank's own QPs are a sparse subset of
@@ -111,35 +96,22 @@ class WcRouter {
   bool draining_ = false;
 };
 
-/// Per-connection statistics (tentpole requirement: byte/establishment
-/// accounting per connection, aggregated by the manager).
-struct ConnStats {
-  std::uint64_t establishments = 0;  ///< times this slot reached RTS
-  std::uint64_t recycles = 0;        ///< LRU evictions this slot absorbed
-  std::uint64_t bytes = 0;           ///< payload bytes posted through it
-};
-
 class ConnectionManager {
  public:
   using ConnId = int;
   static constexpr ConnId kNilConn = -1;
 
-  /// One connection slot: a QP chain toward `peer`.  Slots are recycled
-  /// in place (stats survive the churn; `peer`/`qps` are rebound).
+  /// One connection: a QP chain toward `peer`, in RTS once established.
   struct Connection {
     ConnId id = kNilConn;
     int peer = -1;
-    ConnId remote_id = kNilConn;  ///< slot id on the peer's manager
     std::vector<verbs::Qp*> qps;
     bool established = false;
-    bool leased = false;  ///< held by a live channel; not recyclable
-    std::uint64_t last_use = 0;
-    ConnStats stats;
   };
 
   using Ready = std::function<void(Connection&)>;
 
-  ConnectionManager(Rank& rank, const ConnConfig& cfg);
+  explicit ConnectionManager(Rank& rank);
   ~ConnectionManager();
   ConnectionManager(const ConnectionManager&) = delete;
   ConnectionManager& operator=(const ConnectionManager&) = delete;
@@ -156,7 +128,7 @@ class ConnectionManager {
   // -- SRQ staging -----------------------------------------------------------
   /// Channels reserve worst-case receive-WR headroom for their lifetime;
   /// the manager keeps the SRQ topped up to the reservation sum (growing
-  /// its capacity when demand outruns the configured floor) and refills
+  /// its capacity when demand outruns the provisioning floor) and refills
   /// after consumption — on the SRQ limit event and after each dispatch.
   void reserve_recv_wrs(std::size_t n);
   void release_recv_wrs(std::size_t n);
@@ -165,22 +137,19 @@ class ConnectionManager {
   /// Lazily establish a `qp_count`-QP chain toward `peer`.  `token` names
   /// the passive side's expect() registration (the channels use the
   /// receiver-request pointer from the ack).  `on_ready` fires — after the
-  /// control-plane round trip — with the chain in RTS.  The returned slot
-  /// is leased until release().
+  /// control-plane round trip — with the chain in RTS.  Every call builds
+  /// a fresh chain, even toward a peer connected before.
   ConnId connect(int peer, int qp_count, std::uint64_t token, Ready on_ready);
 
-  /// Drop the lease: the slot stays established (warm) but becomes
-  /// recyclable.  Unbinds the chain's router handlers.
+  /// The channel holding `id` is gone: unbind the chain's router handlers.
+  /// The chain itself stays in RTS, unused.
   void release(ConnId id);
-
-  /// LRU bump + per-connection byte accounting for one posted WR.
-  void note_posted(ConnId id, std::size_t bytes);
 
   Connection& connection(ConnId id);
 
   // -- passive (receiver) side -----------------------------------------------
   /// Register `on_accept` for an incoming connect carrying `token`; fires
-  /// with this side's chain already in RTS.  The accepted slot is leased.
+  /// with this side's chain already in RTS.
   void expect(std::uint64_t token, Ready on_accept);
   void forget(std::uint64_t token);
 
@@ -188,55 +157,37 @@ class ConnectionManager {
   void on_connect_request(int from, std::uint64_t token,
                           const std::vector<std::uint32_t>& qp_nums,
                           ConnId origin);
-  void on_connect_reply(ConnId local, const std::vector<std::uint32_t>& qp_nums,
-                        ConnId remote_id);
-  void on_disconnect(ConnId local);
+  void on_connect_reply(ConnId local,
+                        const std::vector<std::uint32_t>& qp_nums);
 
   // -- introspection ---------------------------------------------------------
-  int established_connections() const { return established_; }
   std::size_t slot_count() const { return conns_.size(); }
   std::uint64_t total_establishments() const { return total_establishments_; }
-  std::uint64_t total_recycles() const { return total_recycles_; }
-  std::uint64_t total_bytes() const { return total_bytes_; }
+  /// Deleted with connection recycling; kept at 0 for perfbench's
+  /// re-drives until ROADMAP item 8 removes their copy of the trial forms.
+  std::uint64_t total_recycles() const { return 0; }
   std::size_t reserved_recv_wrs() const { return reserve_target_; }
-  const ConnConfig& config() const { return cfg_; }
 
  private:
-  /// Find or make a free slot: the lowest-id unestablished unleased one,
-  /// else the LRU established+unleased victim (recycled through RESET),
-  /// else — over cap, rule conn.cap — a fresh slot.
-  Connection& acquire_slot(int peer, int qp_count);
-  void recycle(Connection& conn);
-  /// Bring conn.qps to exactly `qp_count` chain members in INIT.
-  void prepare_qps(Connection& conn, int qp_count);
+  /// A new slot toward `peer` with a fresh `qp_count`-QP chain in INIT.
+  Connection& add_connection(int peer, int qp_count);
+  /// Move `conn`'s chain INIT -> RTR -> RTS against the peer's `qp_nums`.
+  void establish(Connection& conn, const std::vector<std::uint32_t>& qp_nums);
   void refill_srq();
   void schedule_refill();
   void schedule_dispatch();
   void dispatch();
-  void touch(Connection& conn);
-  void mark_established(Connection& conn);
-  void mark_torn_down(Connection& conn);
-  /// `conn` just became unestablished and unleased: offer it for reuse.
-  void free_slot(Connection& conn);
 
   Rank& rank_;
-  ConnConfig cfg_;
   verbs::Cq& cq_;
   verbs::Srq& srq_;
   WcRouter router_;
   std::vector<std::unique_ptr<Connection>> conns_;
-  /// Min-heap of slot ids, pushed whenever a slot becomes unestablished
-  /// and unleased; acquire_slot pops the lowest still-free one.
-  std::vector<ConnId> free_slots_;
-  int established_ = 0;
   std::map<std::uint64_t, Ready> expected_;
   std::map<ConnId, Ready> pending_ready_;
-  std::uint64_t use_clock_ = 0;
   std::size_t reserve_target_ = 0;
   std::uint64_t next_recv_wr_id_ = 0;
   std::uint64_t total_establishments_ = 0;
-  std::uint64_t total_recycles_ = 0;
-  std::uint64_t total_bytes_ = 0;
   bool dispatch_scheduled_ = false;
   bool refill_scheduled_ = false;
 };

@@ -21,15 +21,7 @@ Rank::Rank(World& world, int id, fabric::NodeId node, verbs::Context& ctx,
 Rank::~Rank() = default;
 
 ConnectionManager& Rank::connections() {
-  if (conn_ == nullptr) {
-    const WorldOptions& wo = world_.options();
-    ConnConfig cfg;
-    cfg.max_connections = wo.conn_max_connections;
-    cfg.srq_capacity = wo.conn_srq_capacity;
-    cfg.srq_limit = wo.conn_srq_limit;
-    cfg.cq_depth = wo.cq_depth;
-    conn_ = std::make_unique<ConnectionManager>(*this, cfg);
-  }
+  if (conn_ == nullptr) conn_ = std::make_unique<ConnectionManager>(*this);
   return *conn_;
 }
 

@@ -7,7 +7,6 @@
 // contention aggregation relieves, §V-B2), and the init matcher.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -56,29 +55,16 @@ struct WorldOptions {
   /// All rates zero (the default) keeps the data path fault-free and
   /// allocation-identical to a build without the fault plane.
   fabric::FaultPlanConfig faults{};
-
-  /// Connection-scale shared resources (mpi/conn.hpp), consulted by
-  /// Rank::connections() on first use.  Channels opt in with
-  /// part::Options::shared_resources; conn_max_connections = 0 leaves the
-  /// manager uncapped.
-  int conn_max_connections = 0;
-  int conn_srq_capacity = 1024;
-  int conn_srq_limit = 64;
 };
 
-/// The last four fields post-date the pinned trial fingerprints, so they
-/// are hashed only when non-default (common/fields.hpp).
+/// `faults` post-dates the pinned trial fingerprints, so it is hashed only
+/// when non-default (common/fields.hpp).
 template <typename V, FieldsOf<WorldOptions> S>
 void visit_fields(V&& v, S& w) {
   static const WorldOptions kDefault;
   v(w.ranks, w.nic, w.copy_data, w.cores_per_rank, w.cq_depth, w.pready_cpu,
     w.verbs_sw_per_msg, w.dpu_aggregation, w.dpu_post_overhead,
-    Defaulted{"faults", w.faults, kDefault.faults},
-    Defaulted{"conn_max_connections", w.conn_max_connections,
-              kDefault.conn_max_connections},
-    Defaulted{"conn_srq_capacity", w.conn_srq_capacity,
-              kDefault.conn_srq_capacity},
-    Defaulted{"conn_srq_limit", w.conn_srq_limit, kDefault.conn_srq_limit});
+    Defaulted{"faults", w.faults, kDefault.faults});
 }
 
 /// The backend configuration a world with `options` runs over: the NIC
@@ -154,13 +140,6 @@ class World {
   /// destination after the control-plane latency.
   void send_control(int from, int to, std::function<void()> deliver);
 
-  /// Allocate a communicator context id (monotonic, world-scoped).
-  /// Atomic: MPI_THREAD_MULTIPLE producers may create communicators
-  /// concurrently (threaded runtime, src/runtime/).
-  int next_comm_id() {
-    return next_comm_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   backend::Backend& backend_;
   sim::Engine& engine_;
@@ -168,7 +147,6 @@ class World {
   WorldOptions options_;
   std::unique_ptr<verbs::Device> device_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::atomic<int> next_comm_id_{1};
 };
 
 }  // namespace partib::mpi

@@ -575,9 +575,6 @@ void PsendRequest::post_staged(std::uint32_t id) {
   }
   PARTIB_ASSERT_MSG(ok(st), to_string(st));
   ++wrs_posted_total_;
-  if (conn_id_ != mpi::ConnectionManager::kNilConn) {
-    rank_.connections().note_posted(conn_id_, staged.wr.sg_list[0].length);
-  }
 }
 
 void PsendRequest::schedule_progress() {

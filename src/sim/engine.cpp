@@ -39,7 +39,7 @@ void Engine::refile_bucket(unsigned b) {
   while (s != kNil) {
     const std::uint32_t next = slot_next_[s];
     if (slot_seq_[s] == 0) {
-      free_slots_.push_back(s);
+      free_list_.push_back(s);
       --dead_;
     } else {
       file(s, slot_time_[s]);

@@ -208,7 +208,7 @@ class Engine {
   std::vector<std::uint64_t> slot_seq_;   // generation; 0 = dead slot
   std::vector<std::uint32_t> slot_next_;  // FIFO link within a bucket
   std::vector<Time> slot_time_;           // the slot's key
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> free_list_;
   bool nontrivial_cb_ = false;  // any pending cb may need a destructor
   DispatchObserver observer_;
 
@@ -254,9 +254,9 @@ class Engine {
     PARTIB_ASSERT_MSG(t >= last_, "event key below the radix base");
     const std::uint64_t seq = next_seq_++;
     std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
+    if (!free_list_.empty()) {
+      slot = free_list_.back();
+      free_list_.pop_back();
       slot_ref(slot).site = site;
     } else {
       if (slot_count_ == slabs_.size() * kSlabSize) grow_slots();
@@ -288,7 +288,7 @@ class Engine {
         const std::uint32_t s = b0.head;
         if (slot_seq_[s] != 0) return true;
         b0.head = slot_next_[s];
-        free_slots_.push_back(s);
+        free_list_.push_back(s);
         --dead_;
       }
       occupied_ &= ~std::uint64_t{1};
@@ -337,7 +337,7 @@ class Engine {
     s.cb();
     s.cb = nullptr;
     s.site = nullptr;
-    free_slots_.push_back(slot);
+    free_list_.push_back(slot);
   }
 
   /// Slow path of schedule_slot: append a slab (and extend the parallel

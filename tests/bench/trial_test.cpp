@@ -338,18 +338,14 @@ TEST(TrialSchema, FaultPlansGetDistinctFingerprints) {
 }
 
 TEST(TrialSchema, ConnectionLimitsAndRetryBudgetEnterTheKey) {
-  ConnScaleConfig capped;
-  capped.world.conn_max_connections = 2;
-  EXPECT_NE(fingerprint(capped), fingerprint(ConnScaleConfig{}));
-
   OverheadConfig impatient;
   impatient.options.max_send_retries = 1;
   EXPECT_NE(fingerprint(impatient), fingerprint(OverheadConfig{}));
 
   // Elided fields are name-tagged: one value in two such fields differs.
-  ConnScaleConfig limited;
-  limited.world.conn_srq_limit = 2;
-  EXPECT_NE(fingerprint(limited), fingerprint(capped));
+  OverheadConfig backing_off;
+  backing_off.options.retry_backoff = 1;
+  EXPECT_NE(fingerprint(backing_off), fingerprint(impatient));
 }
 
 TEST(TrialSchema, FaultedGridRowIsTheFaultedTrial) {

@@ -55,14 +55,6 @@ TEST(World, ControlMessagesPreserveOrderPerPair) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(World, CommIdsMonotonic) {
-  backend::DesBackend des(backend_config({}));
-  World world(des, {});
-  const int a = world.next_comm_id();
-  const int b = world.next_comm_id();
-  EXPECT_LT(a, b);
-}
-
 TEST(World, DpuResourceOnlyWhenEnabled) {
   backend::DesBackend des(backend_config({}));
   WorldOptions off;

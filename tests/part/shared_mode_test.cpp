@@ -140,7 +140,8 @@ TEST(SharedMode, IncastSharesOneCqAndOneSrqPerRank) {
   const verbs::ResourceFootprint fp = fx.world->rank(0).context().footprint();
   EXPECT_EQ(fp.cqs, 1);
   EXPECT_EQ(fp.srqs, 1);
-  EXPECT_EQ(fx.world->rank(0).connections().established_connections(), kPeers);
+  EXPECT_EQ(fx.world->rank(0).connections().total_establishments(),
+            static_cast<std::uint64_t>(kPeers));
 }
 
 TEST(SharedMode, FootprintPerPeerAtLeastFourTimesSmallerThanDedicated) {
@@ -170,17 +171,19 @@ TEST(SharedMode, ChannelDestructionReleasesTheLease) {
   IncastFixture fx(2, 16 * KiB, 8, shared(static_options(4, 1)));
   fx.run_round();
   mpi::ConnectionManager& mgr = fx.world->rank(0).connections();
-  EXPECT_EQ(mgr.established_connections(), 2);
+  ASSERT_EQ(mgr.slot_count(), 2u);
+  std::vector<std::uint32_t> qp_nums;
   for (int id = 0; id < 2; ++id) {
-    EXPECT_TRUE(mgr.connection(id).leased);
+    for (verbs::Qp* qp : mgr.connection(id).qps) {
+      EXPECT_TRUE(mgr.router().bound(qp->qp_num()));
+      qp_nums.push_back(qp->qp_num());
+    }
   }
   fx.sends.clear();
   fx.recvs.clear();
-  // Connections stay warm (established) but recyclable.
-  EXPECT_EQ(mgr.established_connections(), 2);
-  for (int id = 0; id < 2; ++id) {
-    EXPECT_FALSE(mgr.connection(id).leased);
-  }
+  // The chains stay established, but no completion reaches a channel.
+  EXPECT_EQ(mgr.total_establishments(), 2u);
+  for (const std::uint32_t n : qp_nums) EXPECT_FALSE(mgr.router().bound(n));
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 // the benches only print.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench/overhead.hpp"
 #include "bench/perceived.hpp"
+#include "bench/probe.hpp"
 #include "bench/sweep.hpp"
 #include "check/determinism.hpp"
 #include "common/units.hpp"
@@ -153,6 +157,62 @@ TEST(Fig9, LargeMessagesConvergeTowardWire) {
   EXPECT_LT(big, 2.0 * wire);  // within 2x of the dotted line
 }
 
+// --- Fig 10 / 11 -------------------------------------------------------------
+
+/// The Figs 10-11 driver's profiled round: 32 partitions under the PLogGP
+/// aggregator, one iteration after one warm-up.
+prof::RoundProfile arrival_round(std::size_t bytes) {
+  prof::PartProfiler profiler(32);
+  bench::PerceivedConfig cfg;
+  cfg.total_bytes = bytes;
+  cfg.user_partitions = 32;
+  cfg.options = ploggp_options();
+  cfg.iterations = 1;
+  cfg.warmup = 1;
+  cfg.profiler = &profiler;
+  bench::run_perceived_bandwidth(cfg);
+  return profiler.rounds().back();
+}
+
+/// The partition whose Pready comes last (the single-thread delay).
+std::size_t laggard(const prof::RoundProfile& round) {
+  const auto& t = round.pready_times;
+  return static_cast<std::size_t>(std::max_element(t.begin(), t.end()) -
+                                  t.begin());
+}
+
+/// Whether each partition arrived before the laggard's Pready.
+std::vector<bool> early(const prof::RoundProfile& round) {
+  const Time cut = round.pready_times[laggard(round)];
+  std::vector<bool> out;
+  for (const Time t : round.arrival_times) out.push_back(t < cut);
+  return out;
+}
+
+TEST(Fig10And11, EveryGroupWithoutTheLaggardLandsEarlyAt8MiB) {
+  // Fig 10: "all n-1 early partitions complete transfer well before the
+  // laggard arrives" — every transport group that does not hold the
+  // laggard, i.e. all but the laggard's group of 4.
+  const prof::RoundProfile round = arrival_round(8 * MiB);
+  const std::size_t groups =
+      ploggp_options().aggregator->plan(32, 8 * MiB).transport_partitions;
+  const std::size_t group_size = 32 / groups;
+  ASSERT_EQ(group_size, 4u);
+  const std::size_t lag = laggard(round);
+  const std::vector<bool> landed = early(round);
+  for (std::size_t p = 0; p < 32; ++p) {
+    EXPECT_EQ(landed[p], p / group_size != lag / group_size) << p;
+  }
+  EXPECT_EQ(std::count(landed.begin(), landed.end(), true), 28);
+}
+
+TEST(Fig10And11, RoughlyThreeEighthsMoveEarlyAt128MiB) {
+  // Fig 11: the wire is the bottleneck and "roughly 3/8" of the
+  // partitions move before the laggard's Pready — 10 of 32 here.
+  const std::vector<bool> landed = early(arrival_round(128 * MiB));
+  EXPECT_EQ(std::count(landed.begin(), landed.end(), true), 10);
+}
+
 // --- Fig 12 / 13 -------------------------------------------------------------
 
 TEST(Fig12, MinDeltaGrowsWithPartitionCount) {
@@ -239,6 +299,21 @@ TEST(Fig3, ModelRegimes) {
             model::completion_time(p, {4 * KiB, 32, msec(4)}));
   EXPECT_GT(model::completion_time(p, {256 * MiB, 1, msec(4)}),
             model::completion_time(p, {256 * MiB, 32, msec(4)}));
+}
+
+// --- Netgauge probe (§III) ---------------------------------------------------
+
+TEST(Netgauge, ProbeMeasuresPerQpBandwidthAndTheFixedCost) {
+  const fabric::NicParams nic = fabric::NicParams::connectx5_edr();
+  const bench::ProbeResult probe = bench::run_parameter_probe(nic);
+  // One QP streams at qp_bw_share of the link, so the fitted G is the
+  // per-QP G, not the wire's.
+  const double per_qp_G = nic.wire.G / nic.qp_bw_share;
+  EXPECT_NEAR(probe.G, per_qp_G, 0.005 * per_qp_G);
+  EXPECT_GT(probe.G, 1.05 * nic.wire.G);
+  const auto fixed = static_cast<double>(nic.wire.g + nic.wire.o_s +
+                                         nic.wire.L + nic.wire.o_r);
+  EXPECT_NEAR(static_cast<double>(probe.intercept), fixed, 0.001 * fixed);
 }
 
 // --- Fault plumbing must cost nothing when off -------------------------------
