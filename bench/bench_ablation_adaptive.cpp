@@ -23,8 +23,9 @@ using namespace partib;
 
 int main(int argc, char** argv) {
   const bench::Cli cli(argc, argv);
-  const model::LogGPParams params = cli.model_params();
-  const Duration delta0 = cli.initial_delta();
+  const model::LogGPParams params =
+      model::LogGPParams::niagara_mpi_measured();
+  const Duration delta0 = msec(4);
   const int epochs = cli.iterations(30);
   // No warm-up: the measured thirds then coincide with the trace's regime
   // thirds, so phase1 includes the learners' cold-start ramp — that ramp

@@ -24,8 +24,9 @@ using namespace partib;
 
 int main(int argc, char** argv) {
   const bench::Cli cli(argc, argv);
-  const model::LogGPParams params = cli.model_params();
-  const Duration delta0 = cli.initial_delta();
+  const model::LogGPParams params =
+      model::LogGPParams::niagara_mpi_measured();
+  const Duration delta0 = msec(4);
   const int epochs = cli.iterations(30);
   const int warmup = epochs / 3;
 

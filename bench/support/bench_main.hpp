@@ -1,9 +1,7 @@
 // Shared helpers for the figure/table bench binaries: a tiny CLI
 // (--csv for machine-readable output, --iters=N to override iteration
-// counts, --jobs=N for the parallel experiment runner,
-// --loggp=L,o_s,o_r,g,G / --delta0=NS to swap the machine model and
-// initial timer window) and canned part::Options constructors for each
-// design.
+// counts, --jobs=N for the parallel experiment runner) and canned
+// part::Options constructors for each design.
 #pragma once
 
 #include <charconv>
@@ -30,11 +28,6 @@ class Cli {
       } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
         jobs_ = static_cast<std::size_t>(parse_positive(argv[i] + 7,
                                                         "--jobs"));
-      } else if (std::strncmp(argv[i], "--loggp=", 8) == 0) {
-        parse_loggp(argv[i] + 8);
-      } else if (std::strncmp(argv[i], "--delta0=", 9) == 0) {
-        delta0_ = static_cast<Duration>(
-            parse_positive(argv[i] + 9, "--delta0"));
       }
     }
   }
@@ -42,19 +35,6 @@ class Cli {
   bool csv() const { return csv_; }
   int iterations(int fallback) const {
     return iters_override_ > 0 ? iters_override_ : fallback;
-  }
-
-  /// The machine model the drivers should plan with: --loggp=L,o_s,o_r,g,G
-  /// (ns, ns, ns, ns, ns/byte) or the measured Niagara defaults.  The
-  /// defaults keep existing figure fingerprints byte-identical.
-  model::LogGPParams model_params() const {
-    return loggp_set_ ? loggp_ : model::LogGPParams::niagara_mpi_measured();
-  }
-
-  /// Initial timer window for δ-based designs: --delta0=NS or `fallback`
-  /// (the drivers' historical hard-coded value, typically msec(4)).
-  Duration initial_delta(Duration fallback = msec(4)) const {
-    return delta0_ > 0 ? delta0_ : fallback;
   }
 
   /// Runner options wired from the command line: --jobs=N worker threads
@@ -89,35 +69,9 @@ class Cli {
     return parsed;
   }
 
-  void parse_loggp(const char* value) {
-    model::LogGPParams p{};
-    char* next = nullptr;
-    const char* cursor = value;
-    Duration* ints[4] = {&p.L, &p.o_s, &p.o_r, &p.g};
-    for (Duration* field : ints) {
-      *field = static_cast<Duration>(std::strtoll(cursor, &next, 10));
-      if (next == cursor || *next != ',') bad_loggp(value);
-      cursor = next + 1;
-    }
-    p.G = std::strtod(cursor, &next);
-    if (next == cursor || *next != '\0') bad_loggp(value);
-    loggp_ = p;
-    loggp_set_ = true;
-  }
-
-  [[noreturn]] static void bad_loggp(const char* value) {
-    std::cerr << "bench: invalid --loggp value \"" << value
-              << "\" (expected L,o_s,o_r,g,G — four ns integers and a "
-                 "ns/byte double)\n";
-    std::exit(2);
-  }
-
   bool csv_ = false;
   int iters_override_ = 0;
   std::size_t jobs_ = 0;  ///< 0 = runner default
-  model::LogGPParams loggp_{};
-  bool loggp_set_ = false;
-  Duration delta0_ = 0;  ///< 0 = use the driver's fallback
 };
 
 inline part::Options options_with(

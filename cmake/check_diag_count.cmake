@@ -1,17 +1,16 @@
 # Run an executable and require an exact number of checker diagnostic
-# lines on stderr.  Used to pin the (known, documented) false-positive
-# diagnostics the examples emit today — see docs/FAULTS.md and
-# tests/check/example_diag_test.cpp for the root cause — so a checker or
-# example change that moves the count is caught, in either direction.
+# lines on stderr, so a checker, example or driver change that moves the
+# count is caught in either direction (cmake/diag_pins.cmake).
 #
 # Usage:
-#   cmake -DEXE=<path> -DPATTERN=<regex> -DEXPECTED=<n> -P check_diag_count.cmake
+#   cmake -DEXE=<path> ["-DARGS=<arg;...>"] -DPATTERN=<regex> -DEXPECTED=<n> \
+#         -P check_diag_count.cmake
 if(NOT DEFINED EXE OR NOT DEFINED PATTERN OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "check_diag_count.cmake needs -DEXE, -DPATTERN, -DEXPECTED")
 endif()
 
 execute_process(
-  COMMAND ${EXE}
+  COMMAND ${EXE} ${ARGS}
   OUTPUT_QUIET
   ERROR_VARIABLE diag_output
   RESULT_VARIABLE rc)

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "part/imm.hpp"
 
 namespace partib::check {
 
@@ -212,14 +211,6 @@ void on_post_send(const void* qp, const void* pd, const verbs::SendWr& wr) {
     std::snprintf(detail, sizeof(detail),
                   "rkey %u region lacks REMOTE_WRITE access", wr.rkey);
     report("wr.access", name.c_str(), -1, detail);
-  }
-
-  if (wr.opcode == verbs::Opcode::kRdmaWriteWithImm) {
-    const part::ImmRange range = part::decode_imm(wr.imm);
-    if (range.count == 0) {
-      report("imm.roundtrip", name.c_str(), -1,
-             "immediate decodes to an empty partition range");
-    }
   }
 }
 

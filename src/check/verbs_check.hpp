@@ -44,9 +44,9 @@ void on_qp_reset_outstanding(const void* qp, int outstanding);
 
 // -- work submission ---------------------------------------------------------
 /// post_send attempted.  Validates shadow state (qp.post_state), SGE/MR
-/// coverage (wr.lkey, wr.access), RDMA target rkey/bounds/permissions
-/// (wr.rkey) and, for *_WITH_IMM, that the immediate decodes to a
-/// non-empty range (imm.roundtrip).
+/// coverage (wr.lkey, wr.access) and RDMA target rkey/bounds/permissions
+/// (wr.rkey).  The immediate is opaque here: the part layer checks the
+/// ones it encodes (on_imm_encoded, rule imm.roundtrip).
 void on_post_send(const void* qp, const void* pd, const verbs::SendWr& wr);
 /// The library accepted the WR: shadow capacity accounting
 /// (qp.send_capacity when the accepted count exceeds max_send_wr).

@@ -5,11 +5,11 @@
 // wildcards (§II-A: avoiding wildcard matching is one of the interface's
 // deliberate benefits for threaded codes).  Matching happens once, at
 // initialisation — never on the per-partition fast path.
-// Thread-safety: both queues live under the annotated `mu_`; the matched
-// on_match callback is invoked *after* the lock is released (it re-enters
-// PrecvRequest setup, which posts WRs and sends credits — none of which
-// may run under the matcher's lock).  Matching remains init-time-only, so
-// this lock is never on the per-partition fast path.
+// Thread-safety: all waiting entries live under the annotated `mu_`; the
+// matched on_match callback is invoked *after* the lock is released (it
+// re-enters PrecvRequest setup, which posts WRs and sends credits — none
+// of which may run under the matcher's lock).  Matching remains
+// init-time-only, so this lock is never on the per-partition fast path.
 #pragma once
 
 #include <cstddef>
@@ -52,23 +52,15 @@ struct SendInit {
 /// Receiver-side matcher: pairs incoming SendInit records with posted
 /// Precv_init descriptors, queuing whichever side arrives first.
 ///
-/// Storage is one FIFO chain per key, threaded through a per-side slab of
-/// entries and indexed by a flat open-addressing hash of the key (the
-/// engine's per-timestamp bucket idiom, sim/engine.hpp).  A key can only
-/// ever have one side waiting — an arrival on the other side matches
-/// instead of queueing — so one chain per key serves both sides.  Post,
-/// match and drain are O(1) whatever the queue depth: a hot rank matching
-/// thousands of fan-in channels (bench incast) pays the same per
-/// handshake as a pair of ranks.
-///
-/// Drain order is deterministic and pinned: entries match strictly in
-/// posted order per key (MPI's no-wildcard ordered-matching rule), because
-/// a chain appends at its tail and matches from its head.  A monotone
-/// sequence number per entry backs the PARTIB_CHECK assertion and the
-/// differential test against the verbatim map/deque reference
-/// (tests/support/reference_matcher.hpp).  This is what keeps multirank
-/// tests byte-stable at any --jobs=N: the match sequence depends only on
-/// posting order, never on container iteration order.
+/// Waiting entries are indexed by peer, a dense rank id in
+/// [0, world size): each peer keeps its posted recvs and its unexpected
+/// sends in arrival order.  A post or an arrival takes the oldest entry
+/// of its (tag, comm) from its own peer's other side, or else appends.
+/// So entries match strictly in posted order per key (MPI's no-wildcard
+/// ordered-matching rule), and the match sequence depends only on posting
+/// order, which keeps multirank tests byte-stable at any --jobs=N.  The
+/// trial forms carry at most one channel per key, so a scan is short.
+/// tests/support/reference_matcher.hpp is the differential oracle.
 class InitMatcher {
  public:
   using OnMatch = std::function<void(const SendInit&)>;
@@ -80,77 +72,25 @@ class InitMatcher {
   /// A remote Psend_init handshake arrived.
   void on_send_init(const SendInit& init);
 
-  std::size_t pending_recvs() const {
-    common::MutexLock lock(mu_);
-    return recvs_.live;
-  }
-  std::size_t unexpected_sends() const {
-    common::MutexLock lock(mu_);
-    return sends_.live;
-  }
+  std::size_t pending_recvs() const;
+  std::size_t unexpected_sends() const;
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
-  /// One side's waiting entries.  `next` links a key's FIFO chain, or the
-  /// free list once the entry has matched.
-  template <class T>
-  struct Slab {
-    struct Node {
-      T value;
-      std::uint64_t seq;  ///< posted-order stamp
-      std::uint32_t next;
-    };
-    std::vector<Node> nodes;
-    std::uint32_t free = kNil;
-    std::size_t live = 0;
-
-    template <class V>
-    inline std::uint32_t put(V&& value, std::uint64_t seq);
-    /// Put entry `i`, its value moved out, on the free list.
-    inline void release(std::uint32_t i);
-  };
-
-  /// Hash cell: the waiting chain of one key.  `head == kNil` marks an
-  /// empty cell — a chain that drains is erased on the spot.
-  struct Queue {
+  struct WaitingRecv {
     MatchKey key;
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    bool sends = false;  ///< chain threads sends_ (else recvs_)
+    OnMatch on_match;
+  };
+  /// One source rank's waiting entries, each side in posted order.
+  struct Peer {
+    std::vector<WaitingRecv> recvs;
+    std::vector<SendInit> sends;
   };
 
-  // The helpers run on every post and every arrival; `inline` keeps them
-  // in their callers' frames (BM_MatcherChurn).
-
-  inline std::size_t home(const MatchKey& key) const PARTIB_REQUIRES(mu_);
-  /// Index of `key`'s cell, or of the empty cell ending its probe run.
-  inline std::size_t cell(const MatchKey& key) const PARTIB_REQUIRES(mu_);
-  /// Reallocate the table at `size` cells and rehash into it.
-  void resize_table(std::size_t size) PARTIB_REQUIRES(mu_);
-  /// Append to `key`'s chain in `slab`; `c` is `cell(key)`.
-  template <class T, class V>
-  inline void push(std::size_t c, const MatchKey& key, Slab<T>& slab,
-                   V&& value) PARTIB_REQUIRES(mu_);
-  /// Unlink the head of cell `c`'s chain in `slab` and return its index
-  /// (the caller moves the value out and releases it); erases the cell
-  /// when the chain drains.
-  template <class T>
-  inline std::uint32_t pop(std::size_t c, Slab<T>& slab)
-      PARTIB_REQUIRES(mu_);
-  /// Empty cell `c`, backward-shifting its probe run (no tombstones).
-  inline void erase(std::size_t c) PARTIB_REQUIRES(mu_);
+  /// `rank`'s entries, growing the index on first sight of it.
+  Peer& peer(int rank) PARTIB_REQUIRES(mu_);
 
   mutable common::Mutex mu_{"mpi.matcher"};
-  Slab<OnMatch> recvs_ PARTIB_GUARDED_BY(mu_);
-  Slab<SendInit> sends_ PARTIB_GUARDED_BY(mu_);
-  /// Power-of-two size, allocated on first use.
-  std::vector<Queue> table_ PARTIB_GUARDED_BY(mu_);
-  unsigned shift_ PARTIB_GUARDED_BY(mu_) = 0;  ///< 64 - log2(table size)
-  std::size_t mask_ PARTIB_GUARDED_BY(mu_) = 0;  ///< table size - 1
-  std::size_t keys_ PARTIB_GUARDED_BY(mu_) = 0;  ///< occupied cells
-  /// posted-order stamp (both sides share it)
-  std::uint64_t next_seq_ PARTIB_GUARDED_BY(mu_) = 0;
+  std::vector<Peer> peers_ PARTIB_GUARDED_BY(mu_);
 };
 
 }  // namespace partib::mpi

@@ -1,24 +1,13 @@
 #include "part/options.hpp"
 
 #include "agg/strategies.hpp"
-#include "common/env.hpp"
 
 namespace partib::part {
 
 Options Options::defaults() {
   Options o;
-  const Duration delta =
-      usec(env_int("PARTIB_TIMER_DELTA_US", 0));
-  const auto params = model::LogGPParams::niagara_mpi_measured();
-  if (delta > 0) {
-    o.aggregator = std::make_shared<agg::TimerPLogGPAggregator>(params, delta);
-  } else {
-    o.aggregator = std::make_shared<agg::PLogGPAggregator>(params);
-  }
-  o.transport_partitions_override = static_cast<std::size_t>(
-      env_int("PARTIB_TRANSPORT_PARTITIONS", 0));
-  o.qp_count_override =
-      static_cast<int>(env_int("PARTIB_QP_COUNT", 0));
+  o.aggregator = std::make_shared<agg::PLogGPAggregator>(
+      model::LogGPParams::niagara_mpi_measured());
   return o;
 }
 

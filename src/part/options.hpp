@@ -46,9 +46,7 @@ void visit_fields(V&& v, S& u) {
 
 /// Options accepted by psend_init / precv_init.  The aggregator is the
 /// strategy object (shared, immutable); overrides pin individual plan
-/// fields for knob-sweep experiments, mirroring the environment variables
-/// a real deployment would expose:
-///   PARTIB_TRANSPORT_PARTITIONS, PARTIB_QP_COUNT, PARTIB_TIMER_DELTA_US.
+/// fields for knob-sweep experiments.
 struct Options {
   std::shared_ptr<const agg::Aggregator> aggregator;
   std::size_t transport_partitions_override = 0;  ///< 0 = plan decides
@@ -76,7 +74,7 @@ struct Options {
   Duration retry_backoff = usec(4);
 
   /// Default options: PLogGP aggregation with Niagara-like measured
-  /// parameters, honouring the PARTIB_* environment variables.
+  /// parameters.
   static Options defaults();
 };
 

@@ -1,16 +1,10 @@
 #include "sim/noise.hpp"
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/assert.hpp"
 
 namespace partib::sim {
-
-ArrivalPattern all_equal(std::size_t threads, Duration compute) {
-  PARTIB_ASSERT(threads > 0 && compute >= 0);
-  return ArrivalPattern(threads, compute);
-}
 
 ArrivalPattern many_before_one(std::size_t threads, Duration compute,
                                double noise_fraction, std::size_t laggard) {
@@ -39,35 +33,12 @@ ArrivalPattern jittered_many_before_one(std::size_t threads, Duration compute,
   return p;
 }
 
-ArrivalPattern uniform_noise(std::size_t threads, Duration compute,
-                             double noise_fraction, Rng& rng) {
-  PARTIB_ASSERT(threads > 0 && noise_fraction >= 0.0);
-  ArrivalPattern p(threads);
-  for (auto& d : p) {
-    d = compute + static_cast<Duration>(static_cast<double>(compute) *
-                                        rng.uniform(0.0, noise_fraction));
-  }
-  return p;
-}
-
 ArrivalPattern staggered(std::size_t threads, Duration compute,
                          Duration stagger) {
   PARTIB_ASSERT(threads > 0 && compute >= 0 && stagger >= 0);
   ArrivalPattern p(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     p[i] = compute + static_cast<Duration>(i) * stagger;
-  }
-  return p;
-}
-
-ArrivalPattern gaussian_noise(std::size_t threads, Duration compute,
-                              double sigma_fraction, Rng& rng) {
-  PARTIB_ASSERT(threads > 0 && sigma_fraction >= 0.0);
-  ArrivalPattern p(threads);
-  for (auto& d : p) {
-    const double jitter = std::fabs(
-        rng.normal(0.0, sigma_fraction * static_cast<double>(compute)));
-    d = compute + static_cast<Duration>(jitter);
   }
   return p;
 }

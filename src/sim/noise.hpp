@@ -4,8 +4,9 @@
 // time and then calling MPI_Pready.  Prior work (Finepoints, the ICPP'22
 // micro-benchmark suite) and this paper use the *single-thread-delay*
 // ("many-before-one") model: n-1 threads finish together and one laggard is
-// delayed by compute * noise (e.g. 100 ms * 4% = 4 ms).  Additional
-// patterns are provided for property tests and ablations.
+// delayed by compute * noise (e.g. 100 ms * 4% = 4 ms).  The figure
+// drivers add scheduler jitter to it; a staggered pattern serves the
+// worst case for aggregation.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +19,6 @@ namespace partib::sim {
 
 /// Per-thread compute durations; index = thread id = user partition id.
 using ArrivalPattern = std::vector<Duration>;
-
-/// All threads finish after exactly `compute`.
-ArrivalPattern all_equal(std::size_t threads, Duration compute);
 
 /// n-1 threads finish at `compute`; the laggard finishes at
 /// compute * (1 + noise_fraction).  `laggard` < threads selects which one.
@@ -35,17 +33,8 @@ ArrivalPattern jittered_many_before_one(std::size_t threads, Duration compute,
                                         double noise_fraction,
                                         Duration jitter_per_thread, Rng& rng);
 
-/// Every thread's compute inflated by an independent uniform noise in
-/// [0, noise_fraction].
-ArrivalPattern uniform_noise(std::size_t threads, Duration compute,
-                             double noise_fraction, Rng& rng);
-
 /// Thread i finishes at compute + i * stagger (worst case for aggregation).
 ArrivalPattern staggered(std::size_t threads, Duration compute,
                          Duration stagger);
-
-/// Every thread's compute inflated by |N(0, sigma_fraction * compute)|.
-ArrivalPattern gaussian_noise(std::size_t threads, Duration compute,
-                              double sigma_fraction, Rng& rng);
 
 }  // namespace partib::sim

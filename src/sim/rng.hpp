@@ -5,7 +5,6 @@
 // implementations, which keeps benchmark timelines reproducible anywhere.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -62,24 +61,6 @@ class Rng {
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi) {
     return lo + (hi - lo) * next_double();
-  }
-
-  /// Standard normal via Box-Muller (one value per call; simple > fast).
-  double normal(double mean = 0.0, double stddev = 1.0) {
-    double u1 = next_double();
-    // Avoid log(0).
-    while (u1 <= 0.0) u1 = next_double();
-    const double u2 = next_double();
-    const double z =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-    return mean + stddev * z;
-  }
-
-  /// Exponential with given mean.
-  double exponential(double mean) {
-    double u = next_double();
-    while (u <= 0.0) u = next_double();
-    return -mean * std::log(u);
   }
 
  private:

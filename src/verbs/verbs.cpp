@@ -338,7 +338,6 @@ PARTIB_HOT Status Qp::post_send(const SendWr& wr) {
   PARTIB_ASSERT(remote_ != nullptr);
 
   ++outstanding_;
-  bytes_posted_ += total;
   PARTIB_CHECK_HOOK(on_send_accepted(this));
   backend::Transport& fab = pd_.context().device().fab();
   const bool with_imm = wr.opcode == Opcode::kRdmaWriteWithImm;

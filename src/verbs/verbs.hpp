@@ -337,9 +337,6 @@ class Qp {
   /// The shared receive queue this QP draws from, nullptr when it owns a
   /// private receive ring.
   Srq* srq() { return srq_; }
-  /// Payload bytes accepted by post_send over this QP's lifetime (survives
-  /// resets; feeds per-connection statistics in mpi/conn.hpp).
-  std::uint64_t bytes_posted_total() const { return bytes_posted_; }
   /// The peer this QP was last connected to (0 before the first to_rtr).
   /// Survives to_reset so a recovery path can reconnect to the same peer
   /// without re-running the control-plane exchange.
@@ -420,7 +417,6 @@ class Qp {
   std::uint32_t remote_qp_num_ = 0;
   Qp* remote_ = nullptr;  // resolved at to_rtr time
   int outstanding_ = 0;
-  std::uint64_t bytes_posted_ = 0;
   common::Ring<PostedRecv> recv_queue_;
   std::vector<Wqe> wqes_;  // fixed at max_send_wr slots
   std::uint32_t free_wqe_ = kNilWqe;

@@ -156,6 +156,26 @@ TEST(Matcher, DifferentialFuzzAgainstMapDequeReference) {
   // The matcher must produce exactly the match sequence of the seed's
   // map/deque implementation (tests/support/reference_matcher.hpp): same
   // pairings, in the same order, for any interleaving of posts.
+  {
+    // One peer with a recv waiting on one tag and a send waiting on
+    // another at the same time: each arrival scans only the other side
+    // of its peer, so neither may pair with the other's waiting entry.
+    Differential d;
+    d.recv(MatchKey{1, 5, 0});
+    d.send(MatchKey{1, 6, 0});
+    d.expect_same();
+    if (HasFatalFailure()) return;
+    EXPECT_TRUE(d.got.empty());
+    EXPECT_EQ(d.m.pending_recvs(), 1u);
+    EXPECT_EQ(d.m.unexpected_sends(), 1u);
+    d.send(MatchKey{1, 5, 0});
+    d.recv(MatchKey{1, 6, 0});
+    d.expect_same();
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(d.got, (std::vector<std::string>{"0:2", "1:1"}));
+    EXPECT_EQ(d.m.pending_recvs(), 0u);
+    EXPECT_EQ(d.m.unexpected_sends(), 0u);
+  }
   std::mt19937 rng(424242);
   for (int iter = 0; iter < 200; ++iter) {
     Differential d;
@@ -176,7 +196,7 @@ TEST(Matcher, DifferentialFuzzAgainstMapDequeReference) {
 }
 
 TEST(Matcher, HotRankScaleMatchesReferenceInEveryDeliveryOrder) {
-  // The incast hot rank: 4096 distinct (peer, tag) keys, one channel each.
+  // The incast hot rank: 4096 peers, one channel each.
   // Recv-first posts every Precv_init and then delivers the handshakes;
   // send-first delivers the handshakes and then posts.  Either way the
   // second side arrives in posted, reversed or shuffled order.
@@ -271,8 +291,9 @@ TEST(Matcher, SameKeyManyDeepDrainsFifo) {
 
 TEST(Matcher, WideKeyFuzzAgainstMapDequeReference) {
   // Many live keys at once with queues on both sides coming and going:
-  // exercises table growth, chain reuse of freed entries and erasure from
-  // the middle of probe runs.
+  // 64 peers, each with up to 32 (tag, comm) keys waiting, so matches
+  // erase from the front, middle and back of a peer's entries while the
+  // peer index grows to cover every rank.
   std::mt19937 rng(777);
   for (int iter = 0; iter < 20; ++iter) {
     Differential d;

@@ -1,21 +1,12 @@
 // Arrival-pattern generators and the deterministic RNG.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/time.hpp"
 #include "sim/noise.hpp"
 #include "sim/rng.hpp"
 
 namespace partib::sim {
 namespace {
-
-TEST(Noise, AllEqual) {
-  const auto p = all_equal(8, msec(1));
-  ASSERT_EQ(p.size(), 8u);
-  for (Duration d : p) EXPECT_EQ(d, msec(1));
-}
 
 TEST(Noise, ManyBeforeOneDelaysOnlyLaggard) {
   // The paper's canonical case: 100 ms compute, 4% noise => 4 ms delay.
@@ -39,33 +30,11 @@ TEST(Noise, ManyBeforeOneDefaultLaggardIsZero) {
   EXPECT_GT(p[0], p[1]);
 }
 
-TEST(Noise, UniformNoiseBounded) {
-  Rng rng(7);
-  const auto p = uniform_noise(1000, msec(10), 0.04, rng);
-  for (Duration d : p) {
-    EXPECT_GE(d, msec(10));
-    EXPECT_LE(d, msec(10) + msec(10) * 4 / 100 + 1);
-  }
-}
-
-TEST(Noise, UniformNoiseNotDegenerate) {
-  Rng rng(7);
-  const auto p = uniform_noise(100, msec(10), 0.04, rng);
-  EXPECT_NE(*std::min_element(p.begin(), p.end()),
-            *std::max_element(p.begin(), p.end()));
-}
-
 TEST(Noise, StaggeredIsArithmetic) {
   const auto p = staggered(5, usec(10), usec(2));
   for (std::size_t i = 0; i < p.size(); ++i) {
     EXPECT_EQ(p[i], usec(10) + static_cast<Duration>(i) * usec(2));
   }
-}
-
-TEST(Noise, GaussianNoiseNonNegativeJitter) {
-  Rng rng(11);
-  const auto p = gaussian_noise(1000, msec(1), 0.1, rng);
-  for (Duration d : p) EXPECT_GE(d, msec(1));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
@@ -116,29 +85,6 @@ TEST(Rng, UniformMeanIsCentred) {
   constexpr int kSamples = 20'000;
   for (int i = 0; i < kSamples; ++i) sum += rng.uniform(0.0, 10.0);
   EXPECT_NEAR(sum / kSamples, 5.0, 0.1);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(23);
-  double sum = 0, sq = 0;
-  constexpr int kSamples = 50'000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    sum += x;
-    sq += x * x;
-  }
-  const double mean = sum / kSamples;
-  const double var = sq / kSamples - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.1);
-  EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(31);
-  double sum = 0;
-  constexpr int kSamples = 50'000;
-  for (int i = 0; i < kSamples; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / kSamples, 4.0, 0.15);
 }
 
 }  // namespace
