@@ -401,25 +401,41 @@ BENCHMARK(BM_SrqPollBurst);
 
 void BM_SharedCqDemux(benchmark::State& state) {
   // The connection manager's completion fan-out: 256 CQEs round-robined
-  // across 16 bound qp_nums, routed through WcRouter's dense handler
-  // table.  The acceptance bar is <= 1.15x BM_CqPollBurst — demux must
-  // cost no more than a bounds-checked array index over the raw drain.
-  verbs::Cq cq(4096);
-  mpi::WcRouter router;
-  std::uint64_t sum = 0;
-  for (std::uint32_t q = 0; q < 16; ++q) {
-    router.bind(verbs::Device::kFirstQpNum + q,
-                [&sum](const verbs::Wc& wc) { sum += wc.wr_id; });
+  // across 16 real one-QP connections, drained by ConnectionManager::drain
+  // through each QP's context.  The acceptance bar is <= 1.15x
+  // BM_CqPollBurst — demux must cost no more than a bounds-checked array
+  // index over the raw drain.
+  mpi::WorldOptions wopts;
+  wopts.ranks = 2;
+  backend::DesBackend des(mpi::backend_config(wopts));
+  mpi::World world(des, wopts);
+  mpi::ConnectionManager& mgr = world.rank(0).connections();
+  std::vector<mpi::ConnectionManager::ConnId> ids;
+  for (std::uint64_t token = 0; token < 16; ++token) {
+    world.rank(1).connections().expect(
+        token, [](mpi::ConnectionManager::Connection&) {});
+    ids.push_back(
+        mgr.connect(1, 1, token, [](mpi::ConnectionManager::Connection&) {}));
   }
+  des.run_until_idle();
+  std::uint64_t sum = 0;
+  std::vector<std::uint32_t> qp_nums;
+  for (const auto id : ids) {
+    mpi::ConnectionManager::Connection& conn = mgr.connection(id);
+    conn.on_wc = [&sum](const verbs::Wc& wc) { sum += wc.wr_id; };
+    qp_nums.push_back(conn.qps[0]->qp_num());
+  }
+  // Pushes go straight into the ring, as in BM_CqPollBurst: no dispatch
+  // event is scheduled, the loop calls the drain itself.
+  mgr.cq().set_on_push(nullptr);
   for (auto _ : state) {
     for (std::uint64_t i = 0; i < 256; ++i) {
       verbs::Wc wc;
       wc.wr_id = i;
-      wc.qp_num =
-          verbs::Device::kFirstQpNum + static_cast<std::uint32_t>(i % 16);
-      cq.push(wc);
+      wc.qp_num = qp_nums[i % 16];
+      mgr.cq().push(wc);
     }
-    const int n = router.drain(cq);
+    const int n = mgr.drain();
     benchmark::DoNotOptimize(n);
     benchmark::DoNotOptimize(sum);
   }
@@ -433,8 +449,8 @@ void BM_IncastHandshake(benchmark::State& state) {
   // Psend_init/Precv_init pairs into rank 0 (N handshakes through rank
   // 0's InitMatcher), then every sender establishes its connection the
   // way its first post would — connect() with the receiver request as
-  // the accept token — and binds its chain, so rank 0 takes N slots and
-  // N router binds.  World construction and teardown are included.
+  // the accept token — and sets its chain's completion handler, so rank 0
+  // takes N slots.  World construction and teardown are included.
   const int peers = static_cast<int>(state.range(0));
   // bench_incast's shared-mode channel: 16 KiB, 8 user partitions
   // aggregated to 4 on one QP.
@@ -464,10 +480,8 @@ void BM_IncastHandshake(benchmark::State& state) {
       mgr.connect(0, /*qp_count=*/1,
                   reinterpret_cast<std::uint64_t>(
                       recvs[static_cast<std::size_t>(p)].get()),
-                  [&mgr](mpi::ConnectionManager::Connection& conn) {
-                    for (verbs::Qp* qp : conn.qps) {
-                      mgr.bind(qp->qp_num(), [](const verbs::Wc&) {});
-                    }
+                  [](mpi::ConnectionManager::Connection& conn) {
+                    conn.on_wc = [](const verbs::Wc&) {};
                   });
     }
     des.run_until_idle();  // connection establishment

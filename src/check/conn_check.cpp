@@ -6,11 +6,12 @@
 
 namespace partib::check {
 
-void on_conn_demux_miss(const void* /*router*/, std::uint32_t qp_num) {
+void on_conn_demux_miss(int rank, std::uint32_t qp_num) {
   char detail[80];
   std::snprintf(detail, sizeof(detail),
-                "completion for unbound qp#%u dropped", qp_num);
-  report("conn.demux", "wc_router", -1, detail);
+                "completion for qp#%u with no connection handler dropped",
+                qp_num);
+  report("conn.demux", "conn_manager", rank, detail);
 }
 
 }  // namespace partib::check

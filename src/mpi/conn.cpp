@@ -4,100 +4,9 @@
 
 #include "check/hooks.hpp"
 #include "common/assert.hpp"
-#include "common/bits.hpp"
 #include "mpi/world.hpp"
 
 namespace partib::mpi {
-
-// ---------------------------------------------------------------------------
-// WcRouter
-
-namespace {
-
-// A sender rank binds one chain of a few QPs; the hot rank grows from here.
-constexpr std::size_t kMinRoutes = 4;
-
-}  // namespace
-
-WcRouter::WcRouter()
-    : routes_(kMinRoutes), shift_(64 - log2_floor(kMinRoutes)) {}
-
-void WcRouter::grow() {
-  std::vector<Route> old =
-      std::exchange(routes_, std::vector<Route>(2 * routes_.size()));
-  shift_ = 64 - log2_floor(routes_.size());
-  for (Route& r : old) {
-    if (r.qp_num != 0) routes_[cell(r.qp_num)] = std::move(r);
-  }
-}
-
-void WcRouter::bind(std::uint32_t qp_num, Handler h) {
-  PARTIB_ASSERT_MSG(!draining_, "bind during drain would invalidate handlers");
-  PARTIB_ASSERT(qp_num >= verbs::Device::kFirstQpNum);
-  std::size_t i = cell(qp_num);
-  if (routes_[i].qp_num == 0) {
-    if (2 * (keys_ + 1) > routes_.size()) {
-      grow();
-      i = cell(qp_num);
-    }
-    routes_[i].qp_num = qp_num;
-    ++keys_;
-  }
-  PARTIB_ASSERT_MSG(!routes_[i].handler, "qp_num already bound");
-  routes_[i].handler = std::move(h);
-}
-
-void WcRouter::unbind(std::uint32_t qp_num) {
-  // An empty cell's handler is already null.
-  routes_[cell(qp_num)].handler = nullptr;
-}
-
-bool WcRouter::bound(std::uint32_t qp_num) const {
-  return routes_[cell(qp_num)].handler != nullptr;
-}
-
-int WcRouter::drain(verbs::Cq& cq) {
-  PARTIB_ASSERT_MSG(!draining_, "re-entrant drain");
-  draining_ = true;
-  // Dispatch straight over the CQ ring instead of copying completions out
-  // through poll(): one shared CQ aggregates many QPs' bursts, and the
-  // copy it saves pays for the per-Wc hash and handler indirection
-  // (BM_SharedCqDemux vs BM_CqPollBurst).  A handler may push into this
-  // same CQ (e.g. a flush completion from re-posting to an errored
-  // sibling); a push can grow the ring and relocate the run, so stop and
-  // re-peek whenever the capacity changes.
-  const Route* const routes = routes_.data();
-  const std::size_t mask = routes_.size() - 1;
-  const unsigned shift = shift_;
-  int routed = 0;
-  for (;;) {
-    const std::span<const verbs::Wc> run = cq.peek_run();
-    if (run.empty()) break;
-    const std::size_t cap = cq.ring_capacity();
-    std::size_t done = 0;
-    while (done < run.size()) {
-      const verbs::Wc& wc = run[done];
-      // A miss ends on an empty cell, whose handler is null.
-      const Handler& handler =
-          routes[probe(routes, mask, shift, wc.qp_num)].handler;
-      if (!handler) {
-        PARTIB_CHECK_HOOK(on_conn_demux_miss(this, wc.qp_num));
-        ++done;
-        continue;
-      }
-      handler(wc);
-      ++routed;
-      ++done;
-      if (cq.ring_capacity() != cap) break;
-    }
-    cq.discard(static_cast<int>(done));
-  }
-  draining_ = false;
-  return routed;
-}
-
-// ---------------------------------------------------------------------------
-// ConnectionManager
 
 namespace {
 
@@ -127,12 +36,37 @@ ConnectionManager::ConnectionManager(Rank& rank)
 
 ConnectionManager::~ConnectionManager() = default;
 
-void ConnectionManager::bind(std::uint32_t qp_num, WcRouter::Handler h) {
-  router_.bind(qp_num, std::move(h));
-}
-
-void ConnectionManager::unbind(std::uint32_t qp_num) {
-  router_.unbind(qp_num);
+int ConnectionManager::drain() {
+  // Dispatch straight over the CQ ring instead of copying completions out
+  // through poll(): one shared CQ aggregates many QPs' bursts, and the
+  // copy it saves pays for the per-Wc context load and handler
+  // indirection (BM_SharedCqDemux vs BM_CqPollBurst).  A handler may push
+  // into this same CQ (e.g. a flush completion from re-posting to an
+  // errored sibling); a push can grow the ring and relocate the run, so
+  // stop and re-peek whenever the capacity changes.  A handler may also
+  // connect(), growing the device's QP tables, so each lookup goes back
+  // through the device.
+  const verbs::Device& dev = rank_.context().device();
+  int dispatched = 0;
+  for (;;) {
+    const std::span<const verbs::Wc> run = cq_.peek_run();
+    if (run.empty()) break;
+    const std::size_t cap = cq_.ring_capacity();
+    std::size_t done = 0;
+    while (done < run.size()) {
+      const verbs::Wc& wc = run[done++];
+      auto* conn = static_cast<Connection*>(dev.qp_context(wc.qp_num));
+      if (conn == nullptr || !conn->on_wc) {
+        PARTIB_CHECK_HOOK(on_conn_demux_miss(rank_.id(), wc.qp_num));
+        continue;
+      }
+      conn->on_wc(wc);
+      ++dispatched;
+      if (cq_.ring_capacity() != cap) break;
+    }
+    cq_.discard(static_cast<int>(done));
+  }
+  return dispatched;
 }
 
 void ConnectionManager::reserve_recv_wrs(std::size_t n) {
@@ -156,7 +90,7 @@ ConnectionManager::ConnId ConnectionManager::connect(int peer, int qp_count,
                                                      Ready on_ready) {
   PARTIB_ASSERT(peer >= 0 && peer != rank_.id());
   Connection& conn = add_connection(peer, qp_count);
-  pending_ready_[conn.id] = std::move(on_ready);
+  conn.on_ready = std::move(on_ready);
 
   std::vector<std::uint32_t> qp_nums;
   qp_nums.reserve(conn.qps.size());
@@ -173,7 +107,9 @@ ConnectionManager::ConnId ConnectionManager::connect(int peer, int qp_count,
 }
 
 void ConnectionManager::release(ConnId id) {
-  for (verbs::Qp* qp : connection(id).qps) router_.unbind(qp->qp_num());
+  Connection& conn = connection(id);
+  conn.on_ready = nullptr;
+  conn.on_wc = nullptr;
 }
 
 ConnectionManager::Connection& ConnectionManager::connection(ConnId id) {
@@ -216,12 +152,8 @@ void ConnectionManager::on_connect_reply(
     ConnId local, const std::vector<std::uint32_t>& qp_nums) {
   Connection& conn = connection(local);
   establish(conn, qp_nums);
-
-  auto it = pending_ready_.find(local);
-  PARTIB_ASSERT(it != pending_ready_.end());
-  Ready on_ready = std::move(it->second);
-  pending_ready_.erase(it);
-  on_ready(conn);
+  // Empty when the connection was released before the reply landed.
+  if (Ready on_ready = std::exchange(conn.on_ready, nullptr)) on_ready(conn);
 }
 
 ConnectionManager::Connection& ConnectionManager::add_connection(
@@ -231,7 +163,8 @@ ConnectionManager::Connection& ConnectionManager::add_connection(
   conn->id = static_cast<ConnId>(conns_.size());
   conn->peer = peer;
   for (int i = 0; i < qp_count; ++i) {
-    verbs::Qp& qp = rank_.pd().create_qp(cq_, cq_, verbs::QpCaps{}, &srq_);
+    verbs::Qp& qp =
+        rank_.pd().create_qp(cq_, cq_, verbs::QpCaps{}, &srq_, conn.get());
     PARTIB_ASSERT(ok(qp.to_init()));
     conn->qps.push_back(&qp);
   }
@@ -283,7 +216,7 @@ void ConnectionManager::schedule_dispatch() {
 
 void ConnectionManager::dispatch() {
   dispatch_scheduled_ = false;
-  router_.drain(cq_);
+  drain();
   // Completions mean receive WRs were consumed — restock opportunistically
   // so a quiet SRQ never sits below the reservation waiting for the limit
   // event.

@@ -11,9 +11,11 @@
 //
 //   * every QP the manager creates drains into the rank's single shared
 //     CQ and draws receive WRs from the rank's single SRQ;
-//   * completions are demultiplexed by wc.qp_num through a hash table
-//     sized by the rank's own QPs (WcRouter) — one hash and probe per
-//     CQE, preserving the allocation-free poll path;
+//   * every such QP carries its Connection as the verbs per-QP context
+//     (cf. ibv_qp_init_attr.qp_context), so the drain resolves a
+//     completion's owner from wc.qp_num with one array load
+//     (verbs::Device::qp_context) and calls that connection's handler —
+//     no table of its own, and an allocation-free poll path;
 //   * QP chains are created lazily, on the first send toward a peer, one
 //     fresh chain per connect().  Like the paper's per-channel QPs they
 //     are brought to RTS once and never torn down or reused.
@@ -37,79 +39,29 @@ namespace partib::mpi {
 
 class Rank;
 
-/// wc.qp_num -> handler table for shared-CQ demultiplexing.
-/// qp_nums are device-wide, so a rank's own QPs are a sparse subset of
-/// them; the table is open-addressed (linear probing, power-of-two size,
-/// load <= 1/2) on a multiplicative hash of qp_num with the handler
-/// stored inline, so it is sized by the QPs this rank binds and a route
-/// is one hash, usually one cell compare, and the handler call.
-/// The sim never destroys a QP, so unbind nulls the handler in place and
-/// a qp_num's cell is reused when it is bound again — no tombstones.
-/// Standalone so BM_SharedCqDemux measures exactly the dispatch the
-/// manager runs.
-class WcRouter {
- public:
-  using Handler = std::function<void(const verbs::Wc&)>;
-
-  WcRouter();
-
-  void bind(std::uint32_t qp_num, Handler h);
-  void unbind(std::uint32_t qp_num);
-  bool bound(std::uint32_t qp_num) const;
-
-  /// Drain `cq` in 16-entry bursts, routing each completion to its QP's
-  /// handler.  A CQE for an unbound qp_num is dropped (rule conn.demux).
-  /// Returns the number of completions routed.
-  int drain(verbs::Cq& cq);
-
- private:
-  /// `qp_num == 0` marks an empty cell (real qp_nums start at
-  /// verbs::Device::kFirstQpNum).
-  struct Route {
-    std::uint32_t qp_num = 0;
-    Handler handler;
-  };
-
-  /// Index of the cell keyed `qp_num`, or of the empty cell ending its
-  /// probe run.  Multiplicative hashing: a rank's qp_nums come in strides
-  /// set by how the other ranks' QP creations interleave with its own,
-  /// which would pile up on the low bits alone.
-  static std::size_t probe(const Route* routes, std::size_t mask,
-                           unsigned shift, std::uint32_t qp_num) {
-    auto i = static_cast<std::size_t>((qp_num * 0x9E3779B97F4A7C15ULL) >>
-                                      shift);
-    while (routes[i].qp_num != qp_num && routes[i].qp_num != 0) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-  std::size_t cell(std::uint32_t qp_num) const {
-    return probe(routes_.data(), routes_.size() - 1, shift_, qp_num);
-  }
-  void grow();
-
-  std::vector<Route> routes_;
-  unsigned shift_ = 0;  ///< 64 - log2(routes_.size())
-  std::size_t keys_ = 0;
-  /// Guards against bind() rehashing routes_ under drain's feet (the hot
-  /// loop calls through a reference into the table).
-  bool draining_ = false;
-};
-
 class ConnectionManager {
  public:
   using ConnId = int;
   static constexpr ConnId kNilConn = -1;
 
+  struct Connection;
+  using Ready = std::function<void(Connection&)>;
+
   /// One connection: a QP chain toward `peer`, in RTS once established.
+  /// Each of its QPs carries the Connection as its verbs context.
   struct Connection {
     ConnId id = kNilConn;
     int peer = -1;
     std::vector<verbs::Qp*> qps;
     bool established = false;
+    /// Active side: fires once, when the connect reply brings the chain
+    /// to RTS.
+    Ready on_ready;
+    /// Every completion of the chain's QPs, in CQ order.  The channel
+    /// holding the connection sets it; while it is empty the chain's
+    /// completions are dropped (rule conn.demux).
+    std::function<void(const verbs::Wc&)> on_wc;
   };
-
-  using Ready = std::function<void(Connection&)>;
 
   explicit ConnectionManager(Rank& rank);
   ~ConnectionManager();
@@ -119,11 +71,15 @@ class ConnectionManager {
   // -- shared resources ------------------------------------------------------
   verbs::Cq& cq() { return cq_; }
   verbs::Srq& srq() { return srq_; }
-  WcRouter& router() { return router_; }
 
-  // -- demultiplexing --------------------------------------------------------
-  void bind(std::uint32_t qp_num, WcRouter::Handler h);
-  void unbind(std::uint32_t qp_num);
+  /// Drain the shared CQ in CQ order, handing each completion to the
+  /// on_wc of the connection its QP carries.  A completion whose qp_num
+  /// names no QP, a QP created without a connection (e.g. a dedicated
+  /// channel's), or a connection with no handler is dropped (rule
+  /// conn.demux).  Returns the number
+  /// dispatched.  The on-push dispatch event calls this; a handler may
+  /// connect() meanwhile.
+  int drain();
 
   // -- SRQ staging -----------------------------------------------------------
   /// Channels reserve worst-case receive-WR headroom for their lifetime;
@@ -141,8 +97,9 @@ class ConnectionManager {
   /// a fresh chain, even toward a peer connected before.
   ConnId connect(int peer, int qp_count, std::uint64_t token, Ready on_ready);
 
-  /// The channel holding `id` is gone: unbind the chain's router handlers.
-  /// The chain itself stays in RTS, unused.
+  /// The channel holding `id` is gone: clear the connection's on_ready
+  /// and on_wc, so neither a late connect reply nor a completion reaches
+  /// it.  The chain itself stays in RTS, unused.
   void release(ConnId id);
 
   Connection& connection(ConnId id);
@@ -181,10 +138,10 @@ class ConnectionManager {
   Rank& rank_;
   verbs::Cq& cq_;
   verbs::Srq& srq_;
-  WcRouter router_;
+  /// unique_ptr: each QP's context points at its Connection, which must
+  /// not move as the vector grows.
   std::vector<std::unique_ptr<Connection>> conns_;
   std::map<std::uint64_t, Ready> expected_;
-  std::map<ConnId, Ready> pending_ready_;
   std::size_t reserve_target_ = 0;
   std::uint64_t next_recv_wr_id_ = 0;
   std::uint64_t total_establishments_ = 0;

@@ -144,13 +144,10 @@ void PrecvRequest::on_accept(mpi::ConnectionManager::Connection& conn) {
   expect_registered_ = false;  // the manager consumed the token
   conn_id_ = conn.id;
   qps_ = conn.qps;
-  mpi::ConnectionManager& mgr = rank_.connections();
-  for (verbs::Qp* qp : qps_) {
-    mgr.bind(qp->qp_num(), [this](const verbs::Wc& wc) {
-      consume_recv_wc(wc);
-      check_completion();
-    });
-  }
+  conn.on_wc = [this](const verbs::Wc& wc) {
+    consume_recv_wc(wc);
+    check_completion();
+  };
 }
 
 Status PrecvRequest::start() {

@@ -92,7 +92,7 @@ class PrecvRequest {
   void post_recv_wrs();
   void send_credit();
   /// The manager accepted the sender's chain (shared mode): adopt the QPs
-  /// and bind the receive-Wc handlers.
+  /// and set the connection's receive-Wc handler.
   void on_accept(mpi::ConnectionManager::Connection& conn);
   /// Decode one receive completion into partition-arrival bookkeeping
   /// (shared mode: routed per-Wc by the manager; dedicated mode: polled in

@@ -192,15 +192,12 @@ void PsendRequest::on_connected(mpi::ConnectionManager::Connection& conn) {
   PARTIB_ASSERT(!conn_established_);
   PARTIB_ASSERT(conn.qps.size() == static_cast<std::size_t>(plan_.qp_count));
   qps_ = conn.qps;
-  mpi::ConnectionManager& mgr = rank_.connections();
-  for (verbs::Qp* qp : qps_) {
-    mgr.bind(qp->qp_num(), [this](const verbs::Wc& wc) {
-      handle_send_wc(wc);
-      // The shared tail (backlog drain, error recycle, completion check)
-      // runs once per dispatch batch via the coalesced progress event.
-      schedule_progress();
-    });
-  }
+  conn.on_wc = [this](const verbs::Wc& wc) {
+    handle_send_wc(wc);
+    // The shared tail (backlog drain, error recycle, completion check)
+    // runs once per dispatch batch via the coalesced progress event.
+    schedule_progress();
+  };
   conn_established_ = true;
   flush_deferred();
 }
@@ -613,7 +610,7 @@ void PsendRequest::handle_send_wc(const verbs::Wc& wc) {
 
 void PsendRequest::progress() {
   // Shared mode has no private CQ: completions arrive through the
-  // manager's router (handle_send_wc per Wc), and this event runs only
+  // connection's on_wc (handle_send_wc per Wc), and this event runs only
   // the shared tail below.
   if (cq_ != nullptr) {
     verbs::Wc wcs[16];

@@ -188,7 +188,7 @@ class PsendRequest {
   /// Ask the rank's connection manager for a chain toward dst_ (once, on
   /// the first post after the ack made the peer's expect() token known).
   void request_connection();
-  /// The manager's on_ready: adopt the chain, bind the Wc handlers, drain
+  /// The manager's on_ready: adopt the chain, set its Wc handler, drain
   /// deferred work.
   void on_connected(mpi::ConnectionManager::Connection& conn);
   /// One send CQE (shared mode: routed per-Wc by the manager; dedicated

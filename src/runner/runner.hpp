@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <string>
 #include <system_error>
@@ -37,16 +38,23 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
+#include "common/assert.hpp"
 #include "common/mutex.hpp"
 
 namespace partib::runner {
 
 /// Default worker count: PARTIB_JOBS when set (>= 1), otherwise the
-/// hardware concurrency (>= 1).
+/// hardware concurrency (>= 1).  A non-numeric PARTIB_JOBS aborts, so a
+/// typo is caught instead of silently ignored.
 inline std::size_t default_jobs() {
-  const std::int64_t env = env_int("PARTIB_JOBS", 0);
-  if (env > 0) return static_cast<std::size_t>(env);
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): the library never sets the environment.
+  const char* env = std::getenv("PARTIB_JOBS");
+  if (env != nullptr && env[0] != '\0') {
+    char* end = nullptr;
+    const long long jobs = std::strtoll(env, &end, 10);
+    PARTIB_ASSERT_MSG(*end == '\0', "PARTIB_JOBS is not an integer");
+    if (jobs > 0) return static_cast<std::size_t>(jobs);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

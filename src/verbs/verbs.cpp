@@ -109,7 +109,8 @@ Mr& Pd::register_mr(std::span<std::byte> range, unsigned access) {
   return mr;
 }
 
-Qp& Pd::create_qp(Cq& send_cq, Cq& recv_cq, QpCaps caps, Srq* srq) {
+Qp& Pd::create_qp(Cq& send_cq, Cq& recv_cq, QpCaps caps, Srq* srq,
+                  void* context) {
   Device& dev = context_.device();
   const std::uint32_t num =
       Device::kFirstQpNum + static_cast<std::uint32_t>(dev.qp_by_num_.size());
@@ -117,6 +118,7 @@ Qp& Pd::create_qp(Cq& send_cq, Cq& recv_cq, QpCaps caps, Srq* srq) {
       std::make_unique<Qp>(*this, send_cq, recv_cq, caps, num, srq));
   Qp& qp = *qps_.back();
   dev.qp_by_num_.push_back(&qp);
+  dev.qp_context_.push_back(context);
   PARTIB_CHECK_HOOK(on_qp_created(&qp, num, caps));
   return qp;
 }

@@ -87,6 +87,16 @@ class Device {
                                                             : nullptr;
   }
 
+  /// The opaque context the QP was created with (cf. ibv_qp.qp_context),
+  /// or nullptr when `qp_num` names no QP or its creator passed none.
+  /// The device never dereferences it.
+  void* qp_context(std::uint32_t qp_num) const {
+    const std::uint32_t idx = qp_num - kFirstQpNum;
+    return qp_num >= kFirstQpNum && idx < qp_context_.size()
+               ? qp_context_[idx]
+               : nullptr;
+  }
+
  private:
   friend class Context;
   friend class Pd;
@@ -103,6 +113,9 @@ class Device {
   backend::Transport& fabric_;
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<Qp*> qp_by_num_;   // index == qp_num - kFirstQpNum
+  // Same index; packed apart from the Qp objects so a shared-CQ drain
+  // resolves each completion's owner with one load.
+  std::vector<void*> qp_context_;
   std::vector<MrSlot> mr_by_rkey_;  // index == rkey / 2 - 1
   std::uint32_t next_key_ = 1;
 };
@@ -181,12 +194,12 @@ class Cq {
   /// (cf. ibv_poll_cq).
   int poll(std::span<Wc> out);
 
-  /// Zero-copy drain surface (simulator-internal; used by the shared-CQ
-  /// demux in mpi::WcRouter): expose the contiguous run of completions at
-  /// the ring head, dispatch in place, then discard() what was consumed.
-  /// Entries stay queued until discard().  A push from inside dispatch
-  /// may grow the ring and relocate the run, so consumers must stop and
-  /// re-peek when ring_capacity() changes.
+  /// Zero-copy drain surface (simulator-internal; used by
+  /// mpi::ConnectionManager's shared-CQ drain): expose the contiguous run
+  /// of completions at the ring head, dispatch in place, then discard()
+  /// what was consumed.  Entries stay queued until discard().  A push
+  /// from inside dispatch may grow the ring and relocate the run, so
+  /// consumers must stop and re-peek when ring_capacity() changes.
   std::span<const Wc> peek_run();
   void discard(int n);
   std::size_t ring_capacity() const { return entries_.capacity(); }
@@ -239,9 +252,10 @@ class Pd {
   /// Create an RC queue pair with separate (or shared) send/recv CQs.
   /// With `srq` non-null the QP draws receive WRs from the shared receive
   /// queue instead of a private ring (cf. ibv_qp_init_attr.srq); its own
-  /// post_recv is then rejected, as on real hardware.
+  /// post_recv is then rejected, as on real hardware.  `context` is
+  /// stored for Device::qp_context (cf. ibv_qp_init_attr.qp_context).
   Qp& create_qp(Cq& send_cq, Cq& recv_cq, QpCaps caps = {},
-                Srq* srq = nullptr);
+                Srq* srq = nullptr, void* context = nullptr);
 
   /// Create a shared receive queue (cf. ibv_create_srq).  The PD keeps
   /// ownership, as with MRs and QPs.

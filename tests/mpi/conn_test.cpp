@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include "backend/des_backend.hpp"
@@ -17,6 +17,8 @@
 
 namespace partib::mpi {
 namespace {
+
+void noop(ConnectionManager::Connection&) {}
 
 struct Fx {
   backend::DesBackend des{backend_config({})};
@@ -36,13 +38,20 @@ struct Fx {
                                       int qp_count = 2) {
     ConnectionManager& a = world->rank(from).connections();
     ConnectionManager& p = world->rank(to).connections();
-    p.expect(token, [](ConnectionManager::Connection&) {});
-    const auto id =
-        a.connect(to, qp_count, token, [](ConnectionManager::Connection&) {});
+    p.expect(token, noop);
+    const auto id = a.connect(to, qp_count, token, noop);
     engine.run();
     return id;
   }
 };
+
+/// A completion as `qp` raises it on the shared CQ.
+verbs::Wc wc_on(const verbs::Qp& qp, std::uint64_t wr_id = 0) {
+  verbs::Wc wc;
+  wc.wr_id = wr_id;
+  wc.qp_num = qp.qp_num();
+  return wc;
+}
 
 TEST(ConnManagerLazyEstablish, ChainReachesRtsOnBothSides) {
   Fx fx;
@@ -99,14 +108,14 @@ TEST(ConnManagerLazyEstablish, SharedResourcesAreCreatedOncePerRank) {
 TEST(ConnManagerLazyEstablish, ReconnectAfterReleaseBuildsAFreshChain) {
   // Nothing is recycled: a connect() after release() toward the same peer
   // takes a new slot and a new chain, and the released chain stays in RTS
-  // with its router handlers unbound.
+  // with its completion handler cleared.
   Fx fx;
   ConnectionManager& mgr = fx.world->rank(0).connections();
   const auto first = fx.establish(0, 1, 11);
   const std::vector<verbs::Qp*> old_qps = mgr.connection(first).qps;
-  for (verbs::Qp* qp : old_qps) mgr.bind(qp->qp_num(), [](const verbs::Wc&) {});
+  mgr.connection(first).on_wc = [](const verbs::Wc&) {};
   mgr.release(first);
-  for (verbs::Qp* qp : old_qps) EXPECT_FALSE(mgr.router().bound(qp->qp_num()));
+  EXPECT_FALSE(mgr.connection(first).on_wc);
 
   const auto second = fx.establish(0, 1, 12);
   EXPECT_NE(second, first);
@@ -154,161 +163,178 @@ TEST(ConnManagerSrq, ReservationGrowsAndRefillsTheSrq) {
   EXPECT_EQ(mgr.reserved_recv_wrs(), 16u);
 }
 
-TEST(ConnManagerDemux, UnboundQpNumRaisesConnDemuxDiagnostic) {
-  if (!check::hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
-  Fx fx;
-  check::ScopedPolicy quiet(check::Policy::kCount);
-  ConnectionManager& mgr = fx.world->rank(0).connections();
-
-  int routed_count = 0;
-  mgr.bind(verbs::Device::kFirstQpNum + 7,
-           [&](const verbs::Wc&) { ++routed_count; });
-
-  verbs::Wc bound;
-  bound.qp_num = verbs::Device::kFirstQpNum + 7;
-  verbs::Wc unbound;
-  unbound.qp_num = verbs::Device::kFirstQpNum + 9;
-  mgr.cq().push(bound);
-  mgr.cq().push(unbound);
-  const int routed = mgr.router().drain(mgr.cq());
-
-  EXPECT_EQ(routed, 1);
-  EXPECT_EQ(routed_count, 1);
-  EXPECT_EQ(check::count_rule("conn.demux"), 1u);
-
-  // After unbind the previously bound qp_num misses too.
-  mgr.unbind(verbs::Device::kFirstQpNum + 7);
-  mgr.cq().push(bound);
-  mgr.router().drain(mgr.cq());
-  EXPECT_EQ(check::count_rule("conn.demux"), 2u);
-}
-
 TEST(ConnManagerDemux, CompletionsAreDispatchedFromTheSharedCq) {
+  // Three chains toward two peers, completions interleaved across all six
+  // QPs: every CQE reaches its own connection's handler, in CQ order.
   Fx fx;
   ConnectionManager& mgr = fx.world->rank(0).connections();
-  std::vector<std::uint64_t> seen;
-  mgr.bind(verbs::Device::kFirstQpNum,
-           [&](const verbs::Wc& wc) { seen.push_back(wc.wr_id); });
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    verbs::Wc wc;
-    wc.wr_id = i;
-    wc.qp_num = verbs::Device::kFirstQpNum;
-    mgr.cq().push(wc);
+  const ConnectionManager::ConnId ids[] = {
+      fx.establish(0, 1, 1), fx.establish(0, 2, 2), fx.establish(0, 1, 3)};
+  using Seen = std::vector<std::pair<ConnectionManager::ConnId, std::uint64_t>>;
+  Seen seen;
+  for (const auto id : ids) {
+    mgr.connection(id).on_wc = [&seen, id](const verbs::Wc& wc) {
+      seen.emplace_back(id, wc.wr_id);
+    };
+  }
+  Seen expected;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const auto id = ids[i % 3];
+    const std::vector<verbs::Qp*>& qps = mgr.connection(id).qps;
+    mgr.cq().push(wc_on(*qps[(i / 3) % qps.size()], i));
+    expected.emplace_back(id, i);
   }
   fx.engine.run();  // the on-push dispatch event drains the batch
-  ASSERT_EQ(seen.size(), 40u);
-  for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_EQ(seen, expected);
 }
 
-
-TEST(ConnManagerRouter, SparseQpNumsBindUnbindRebind) {
-  // Device-wide qp_nums: a rank binds a sparse subset of them, anywhere in
-  // the 32-bit space.
-  WcRouter router;
-  const std::uint32_t nums[] = {verbs::Device::kFirstQpNum, 1u << 20,
-                                std::numeric_limits<std::uint32_t>::max() - 1,
-                                std::numeric_limits<std::uint32_t>::max()};
-  std::vector<int> hits(4, 0);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(router.bound(nums[i]));
-    router.bind(nums[i], [&hits, i](const verbs::Wc&) { ++hits[i]; });
-    EXPECT_TRUE(router.bound(nums[i]));
-  }
-  EXPECT_FALSE(router.bound((1u << 20) + 1));
-  EXPECT_FALSE(router.bound(verbs::Device::kFirstQpNum + 1));
-
-  router.unbind(nums[1]);
-  EXPECT_FALSE(router.bound(nums[1]));
-  EXPECT_TRUE(router.bound(nums[0]));
-  EXPECT_TRUE(router.bound(nums[2]));
-  router.unbind(nums[1]);  // idempotent
-  router.unbind(12345);    // never bound: a no-op
-
-  // Rebinding the same qp_num installs the new handler.
-  int rebound = 0;
-  router.bind(nums[1], [&rebound](const verbs::Wc&) { ++rebound; });
-  EXPECT_TRUE(router.bound(nums[1]));
-
-  verbs::Cq cq(64);
-  for (const std::uint32_t n : nums) {
-    verbs::Wc wc;
-    wc.qp_num = n;
-    cq.push(wc);
-  }
-  EXPECT_EQ(router.drain(cq), 4);
-  EXPECT_EQ(hits, (std::vector<int>{1, 0, 1, 1}));
-  EXPECT_EQ(rebound, 1);
-}
-
-TEST(ConnManagerRouter, GrowsAcrossManyBindsAndRoutesEveryWc) {
-  // Strided, interleaved qp_nums (other ranks' QPs sit in the gaps) and
-  // enough of them to grow the table several times; every third is
-  // unbound again, leaving bound keys whose probe runs cross unbound
-  // cells.  Every Wc must reach its own handler, unbound ones must drop.
-  check::reset();
-  WcRouter router;
-  std::vector<std::uint32_t> nums;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    nums.push_back(verbs::Device::kFirstQpNum + i * 4096 + (i % 7));
-  }
-  std::vector<int> hits(nums.size(), 0);
-  for (std::size_t i = 0; i < nums.size(); ++i) {
-    router.bind(nums[i], [&hits, i](const verbs::Wc& wc) {
-      EXPECT_EQ(wc.wr_id, i);
-      ++hits[i];
-    });
-  }
-  for (std::size_t i = 0; i < nums.size(); i += 3) router.unbind(nums[i]);
-  for (std::size_t i = 0; i < nums.size(); ++i) {
-    EXPECT_EQ(router.bound(nums[i]), i % 3 != 0) << i;
-  }
-  EXPECT_FALSE(router.bound(verbs::Device::kFirstQpNum + 1));
-
+TEST(ConnManagerDemux, UnboundQpNumRaisesConnDemuxDiagnostic) {
+  // qp_nums no QP owns: below the device's first, past its last, and 0.
+  Fx fx;
   check::ScopedPolicy quiet(check::Policy::kCount);
-  verbs::Cq cq(8192);
-  for (std::size_t i = 0; i < nums.size(); ++i) {
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  const auto id = fx.establish(0, 1, 1);
+  int hits = 0;
+  mgr.connection(id).on_wc = [&hits](const verbs::Wc&) { ++hits; };
+
+  mgr.cq().push(wc_on(*mgr.connection(id).qps[0]));
+  for (const std::uint32_t stray :
+       {verbs::Device::kFirstQpNum - 1, verbs::Device::kFirstQpNum + 100000,
+        std::uint32_t{0}}) {
     verbs::Wc wc;
-    wc.wr_id = i;
-    wc.qp_num = nums[i];
-    cq.push(wc);
+    wc.qp_num = stray;
+    mgr.cq().push(wc);
   }
-  verbs::Wc stray;
-  stray.qp_num = verbs::Device::kFirstQpNum + 4095;
-  cq.push(stray);
-  EXPECT_EQ(router.drain(cq), static_cast<int>(nums.size() * 2 / 3));
-  for (std::size_t i = 0; i < nums.size(); ++i) {
-    EXPECT_EQ(hits[i], i % 3 != 0 ? 1 : 0) << i;
+  EXPECT_EQ(mgr.drain(), 1);
+  EXPECT_EQ(hits, 1);
+  if (check::hooks_compiled_in()) {
+    EXPECT_EQ(check::count_rule("conn.demux"), 3u);
+  }
+}
+
+TEST(ConnManagerDemux, ForeignQpOnTheSameDeviceRaisesConnDemuxDiagnostic) {
+  // A dedicated-mode channel's QP lives on the same device and the same
+  // rank, but the manager did not create it, so it carries no connection.
+  Fx fx;
+  check::ScopedPolicy quiet(check::Policy::kCount);
+  Rank& r0 = fx.world->rank(0);
+  ConnectionManager& mgr = r0.connections();
+  verbs::Cq& own_cq = r0.context().create_cq(64);
+  verbs::Qp& dedicated = r0.pd().create_qp(own_cq, own_cq);
+  EXPECT_EQ(r0.context().device().qp_context(dedicated.qp_num()), nullptr);
+
+  mgr.cq().push(wc_on(dedicated));
+  EXPECT_EQ(mgr.drain(), 0);
+  if (check::hooks_compiled_in()) {
+    EXPECT_EQ(check::count_rule("conn.demux"), 1u);
+  }
+}
+
+TEST(ConnManagerDemux, ReleasedConnectionRaisesConnDemuxDiagnostic) {
+  Fx fx;
+  check::ScopedPolicy quiet(check::Policy::kCount);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  const auto kept = fx.establish(0, 1, 1);
+  const auto gone = fx.establish(0, 2, 2);
+  int kept_hits = 0;
+  int gone_hits = 0;
+  mgr.connection(kept).on_wc = [&](const verbs::Wc&) { ++kept_hits; };
+  mgr.connection(gone).on_wc = [&](const verbs::Wc&) { ++gone_hits; };
+  mgr.release(gone);
+
+  for (const auto id : {gone, kept, gone}) {
+    mgr.cq().push(wc_on(*mgr.connection(id).qps[1]));
+  }
+  EXPECT_EQ(mgr.drain(), 1);
+  EXPECT_EQ(kept_hits, 1);
+  EXPECT_EQ(gone_hits, 0);
+  if (check::hooks_compiled_in()) {
+    EXPECT_EQ(check::count_rule("conn.demux"), 2u);
+  }
+}
+
+TEST(ConnManagerDemux, ManyChainsRouteEveryWcAndReleasedOnesDrop) {
+  // 48 chains toward two peers, so the passive sides' QPs interleave with
+  // rank 0's in the device-wide qp_num space; every third chain is
+  // released.  One completion per QP, in reverse creation order.
+  Fx fx;
+  check::ScopedPolicy quiet(check::Policy::kCount);
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  constexpr int kChains = 48;
+  std::vector<int> hits(kChains, 0);
+  for (int c = 0; c < kChains; ++c) {
+    const auto id = fx.establish(0, 1 + c % 2, static_cast<std::uint64_t>(c));
+    ASSERT_EQ(id, c);
+    mgr.connection(id).on_wc = [&hits, c](const verbs::Wc& wc) {
+      EXPECT_EQ(wc.wr_id, static_cast<std::uint64_t>(c));
+      ++hits[static_cast<std::size_t>(c)];
+    };
+    if (c % 3 == 0) mgr.release(id);
+  }
+  for (int c = kChains - 1; c >= 0; --c) {
+    for (verbs::Qp* qp : mgr.connection(c).qps) {
+      mgr.cq().push(wc_on(*qp, static_cast<std::uint64_t>(c)));
+    }
+  }
+  EXPECT_EQ(mgr.drain(), 2 * kChains * 2 / 3);
+  for (int c = 0; c < kChains; ++c) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(c)], c % 3 == 0 ? 0 : 2) << c;
   }
   if (check::hooks_compiled_in()) {
-    EXPECT_EQ(check::count_rule("conn.demux"), nums.size() / 3 + 1);
+    EXPECT_EQ(check::count_rule("conn.demux"),
+              static_cast<std::size_t>(2 * kChains / 3));
   }
 }
 
-TEST(ConnManagerRouterDeathTest, BindDuringDrainAsserts) {
-  WcRouter router;
-  verbs::Cq cq(64);
-  router.bind(verbs::Device::kFirstQpNum, [&router](const verbs::Wc&) {
-    router.bind(verbs::Device::kFirstQpNum + 1, [](const verbs::Wc&) {});
-  });
-  verbs::Wc wc;
-  wc.qp_num = verbs::Device::kFirstQpNum;
-  cq.push(wc);
-  EXPECT_DEATH(router.drain(cq), "bind during drain");
+TEST(ConnManagerDemux, HandlerMayConnectDuringTheDrain) {
+  // The first completion opens a 64-QP chain from inside the drain, which
+  // grows the device's QP tables under it; the rest of the run still
+  // reaches its handler, and the new chain establishes and dispatches.
+  Fx fx;
+  ConnectionManager& mgr = fx.world->rank(0).connections();
+  const auto first = fx.establish(0, 1, 1);
+  fx.world->rank(2).connections().expect(2, noop);
+  ConnectionManager::ConnId second = ConnectionManager::kNilConn;
+  std::vector<std::uint64_t> seen;
+  mgr.connection(first).on_wc = [&](const verbs::Wc& wc) {
+    seen.push_back(wc.wr_id);
+    if (second == ConnectionManager::kNilConn) {
+      second = mgr.connect(2, 64, 2, noop);
+    }
+  };
+  const std::vector<verbs::Qp*>& qps = mgr.connection(first).qps;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    mgr.cq().push(wc_on(*qps[i % qps.size()], i));
+  }
+  EXPECT_EQ(mgr.drain(), 40);
+  ASSERT_EQ(seen.size(), 40u);
+  for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(seen[i], i);
+
+  fx.engine.run();
+  ASSERT_NE(second, ConnectionManager::kNilConn);
+  EXPECT_TRUE(mgr.connection(second).established);
+  int hits = 0;
+  mgr.connection(second).on_wc = [&hits](const verbs::Wc&) { ++hits; };
+  mgr.cq().push(wc_on(*mgr.connection(second).qps.back()));
+  fx.engine.run();
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(ConnManagerSlots, ReplyAfterReleaseKeepsTheSlotOutOfReuse) {
   // The active side releases the connection before the connect reply
-  // lands: the reply still establishes the slot, and the next connect
-  // takes a fresh one.
+  // lands: the reply still establishes the slot, the released
+  // connection's ready callback does not run, and the next connect takes
+  // a fresh slot.
   Fx fx(/*ranks=*/3);
   ConnectionManager& mgr = fx.world->rank(0).connections();
-  fx.world->rank(1).connections().expect(
-      1, [](ConnectionManager::Connection&) {});
-  const auto id =
-      mgr.connect(1, 2, 1, [](ConnectionManager::Connection&) {});
+  fx.world->rank(1).connections().expect(1, noop);
+  bool ready = false;
+  const auto id = mgr.connect(
+      1, 2, 1, [&ready](ConnectionManager::Connection&) { ready = true; });
   mgr.release(id);
   fx.engine.run();
   EXPECT_TRUE(mgr.connection(id).established);
+  EXPECT_FALSE(ready);
   EXPECT_EQ(fx.establish(0, 2, 2), id + 1);
   EXPECT_EQ(mgr.total_establishments(), 2u);
 }

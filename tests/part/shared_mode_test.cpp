@@ -172,18 +172,23 @@ TEST(SharedMode, ChannelDestructionReleasesTheLease) {
   fx.run_round();
   mpi::ConnectionManager& mgr = fx.world->rank(0).connections();
   ASSERT_EQ(mgr.slot_count(), 2u);
-  std::vector<std::uint32_t> qp_nums;
+  // Each sender rank holds its own end of one chain, in slot 0.
+  auto sender_end = [&fx](int rank) -> mpi::ConnectionManager::Connection& {
+    return fx.world->rank(rank).connections().connection(0);
+  };
   for (int id = 0; id < 2; ++id) {
-    for (verbs::Qp* qp : mgr.connection(id).qps) {
-      EXPECT_TRUE(mgr.router().bound(qp->qp_num()));
-      qp_nums.push_back(qp->qp_num());
-    }
+    EXPECT_TRUE(mgr.connection(id).on_wc);
+    EXPECT_TRUE(sender_end(id + 1).on_wc);
   }
   fx.sends.clear();
   fx.recvs.clear();
   // The chains stay established, but no completion reaches a channel.
   EXPECT_EQ(mgr.total_establishments(), 2u);
-  for (const std::uint32_t n : qp_nums) EXPECT_FALSE(mgr.router().bound(n));
+  for (int id = 0; id < 2; ++id) {
+    EXPECT_TRUE(mgr.connection(id).established);
+    EXPECT_FALSE(mgr.connection(id).on_wc);
+    EXPECT_FALSE(sender_end(id + 1).on_wc);
+  }
 }
 
 }  // namespace

@@ -96,6 +96,17 @@ TEST(RunTrials, DefaultJobsHonoursEnvOverride) {
   EXPECT_GE(default_jobs(), 1u);
 }
 
+TEST(RunTrialsDeathTest, NonNumericJobsEnvAborts) {
+  // PARTIB_JOBS comes from outside the program: a typo must fail loudly,
+  // not fall back to the hardware concurrency.
+  EXPECT_DEATH(
+      {
+        ::setenv("PARTIB_JOBS", "abc", 1);
+        default_jobs();
+      },
+      "PARTIB_JOBS is not an integer");
+}
+
 TEST(RunTrials, RunsOnAtMostJobsThreadsAndInlineAtOne) {
   // Each trial records the id of the thread that ran it; slots are
   // distinct per trial, so the writes need no lock.  A trial lasts a

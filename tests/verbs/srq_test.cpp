@@ -127,7 +127,8 @@ TEST_P(SrqQpInteraction, TwoQpsDrainOneSrqDemuxedByQpNum) {
   fx.drive();
 
   // Both receive CQEs land on the shared recv CQ, each naming its
-  // consuming QP — the demux contract a WcRouter builds on.
+  // consuming QP — the demux contract the connection manager's drain
+  // builds on.
   Wc wcs[8];
   const int n = fx.rcq->poll(std::span<Wc>(wcs));
   ASSERT_EQ(n, 2);
