@@ -390,8 +390,8 @@ void BM_SrqPollBurst(benchmark::State& state) {
       PARTIB_ASSERT(ok(srq.post_recv(wr)));
     }
     std::uint64_t sum = 0;
-    verbs::PostedRecv out;
-    while (srq.consume(&out)) sum += out.wr.wr_id;
+    verbs::RecvWr out;
+    while (srq.consume(&out)) sum += out.wr_id;
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

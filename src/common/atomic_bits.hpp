@@ -67,41 +67,14 @@ template <typename Fn>
 std::size_t atomic_claim_range(std::uint64_t* words, std::size_t first,
                                std::size_t count, Fn&& fn) {
   std::size_t claimed = 0;
-  std::size_t run_first = 0;
-  std::size_t run_len = 0;
-  const std::size_t last = first + count;  // exclusive
-  for (std::size_t w = first / 64; w * 64 < last; ++w) {
-    const std::size_t lo = w * 64 < first ? first - w * 64 : 0;
-    const std::size_t hi = last - w * 64 < 64 ? last - w * 64 : 64;
-    std::uint64_t won = atomic_claim_word(
-        words[w], bitmap_range_mask(static_cast<unsigned>(lo),
-                                    static_cast<unsigned>(hi)));
-    claimed += popcount64(won);
-    // Extract maximal runs of won bits, stitching a run that ends at bit
-    // 63 onto one that starts at bit 0 of the next word.
-    while (won != 0) {
-      const unsigned start = ctz64(won);
-      const std::uint64_t shifted = won >> start;
-      const unsigned len = ctz64(~shifted) == 64 ? 64 - start
-                                                 : ctz64(~shifted);
-      const std::size_t bit_first = w * 64 + start;
-      if (run_len != 0 && run_first + run_len == bit_first) {
-        run_len += len;  // contiguous with the pending run
-      } else {
-        if (run_len != 0) fn(run_first, run_len);
-        run_first = bit_first;
-        run_len = len;
-      }
-      won &= ~(bitmap_range_mask(start, start + len));
-    }
-    // A run that does not reach the end of this word cannot continue into
-    // the next one; flush it now so `fn` sees maximal runs in order.
-    if (run_len != 0 && (run_first + run_len) % 64 != 0) {
-      fn(run_first, run_len);
-      run_len = 0;
-    }
-  }
-  if (run_len != 0) fn(run_first, run_len);
+  for_each_bit_run(
+      first, count,
+      [words, &claimed](std::size_t w, std::uint64_t mask) {
+        const std::uint64_t won = atomic_claim_word(words[w], mask);
+        claimed += popcount64(won);
+        return won;
+      },
+      fn);
   return claimed;
 }
 

@@ -66,6 +66,53 @@ constexpr std::uint64_t bitmap_range_mask(unsigned lo, unsigned hi) {
   return upto_hi & ~below_lo;
 }
 
+/// Invoke fn(w, mask) for each word w holding bits of [first, first +
+/// count), in ascending order; `mask` selects the range's bits in word w.
+template <typename Fn>
+void for_each_range_word(std::size_t first, std::size_t count, Fn&& fn) {
+  if (count == 0) return;
+  const std::size_t last = first + count - 1;  // inclusive
+  for (std::size_t w = first / 64; w <= last / 64; ++w) {
+    const auto lo = w == first / 64 ? static_cast<unsigned>(first % 64) : 0u;
+    const auto hi = w == last / 64 ? static_cast<unsigned>(last % 64) + 1 : 64u;
+    fn(w, bitmap_range_mask(lo, hi));
+  }
+}
+
+/// Invoke fn(run_first, run_count) for every maximal run of bits that
+/// `take` reports within [first, first + count), in ascending order.
+/// take(w, mask) is called once per word, as for_each_range_word calls
+/// fn, and returns the bits of word w to report (a subset of `mask`); it
+/// may update the word as it goes.  A run crossing a word boundary is
+/// reported once, not per word.
+template <typename Take, typename Fn>
+void for_each_bit_run(std::size_t first, std::size_t count, Take&& take,
+                      Fn&& fn) {
+  std::size_t run_start = 0;
+  std::size_t run_len = 0;  // 0 == no run currently open
+  for_each_range_word(first, count, [&](std::size_t w, std::uint64_t mask) {
+    std::uint64_t bits = take(w, mask);
+    while (bits != 0) {
+      const unsigned s = ctz64(bits);
+      // Length of the all-ones run starting at bit s: the shifted word has
+      // its low `ones` bits set, so counting trailing zeros of the
+      // complement measures the run (ctz64(0) == 64 covers a full word).
+      const unsigned ones = ctz64(~(bits >> s));
+      const std::size_t start = w * 64 + s;
+      if (run_len != 0 && start == run_start + run_len) {
+        // Continues the run left open by the previous word.
+        run_len += ones;
+      } else {
+        if (run_len != 0) fn(run_start, run_len);
+        run_start = start;
+        run_len = ones;
+      }
+      bits = s + ones >= 64 ? 0 : bits & (~std::uint64_t{0} << (s + ones));
+    }
+  });
+  if (run_len != 0) fn(run_start, run_len);
+}
+
 // -- simulated DMA addressing ------------------------------------------------
 // WRs, SGEs and MRs carry buffer addresses as the 64-bit integers real
 // verbs puts on the wire.  These two helpers are the only sanctioned

@@ -8,7 +8,8 @@
 // const or not, so one list serves every walk over the struct.
 // Arithmetic, enum and array members are leaves; other members recurse
 // into their own list.  A member left off its list is invisible to the
-// fingerprint: add a field and its list entry together.
+// fingerprint: add a field and its list entry together.  A deleted field
+// whose value was pinned stays on the list as Frozen{value}.
 #pragma once
 
 #include <concepts>
@@ -28,6 +29,16 @@ struct Defaulted {
   std::string_view name;
   T& value;
   const std::remove_const_t<T>& fallback;
+};
+
+/// A field deleted after its struct's fingerprints were pinned: its one
+/// value became a constant, and the list keeps feeding that constant at
+/// the field's old position so those fingerprints stay bit-identical.
+/// Hashed like a leaf; it is not a member, so walks that perturb or count
+/// members skip it.
+template <typename T>
+struct Frozen {
+  T value;
 };
 
 }  // namespace partib

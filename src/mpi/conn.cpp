@@ -28,7 +28,7 @@ verbs::Srq& make_srq(Rank& rank) {
 
 ConnectionManager::ConnectionManager(Rank& rank)
     : rank_(rank),
-      cq_(rank.context().create_cq(rank.world().options().cq_depth)),
+      cq_(rank.context().create_cq(kCqDepth)),
       srq_(make_srq(rank)) {
   cq_.set_on_push([this] { schedule_dispatch(); });
   srq_.set_on_limit([this] { schedule_refill(); });

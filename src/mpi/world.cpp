@@ -4,14 +4,13 @@
 
 namespace partib::mpi {
 
-Rank::Rank(World& world, int id, fabric::NodeId node, verbs::Context& ctx,
-           int cores)
+Rank::Rank(World& world, int id, fabric::NodeId node, verbs::Context& ctx)
     : world_(world),
       id_(id),
       node_(node),
       ctx_(ctx),
       pd_(&ctx.alloc_pd()),
-      cpu_(world.engine(), cores),
+      cpu_(world.engine(), kCoresPerRank),
       doorbell_(world.engine(), 1) {
   if (world.options().dpu_aggregation) {
     dpu_ = std::make_unique<sim::FifoResource>(world.engine(), 1);
@@ -48,8 +47,7 @@ World::World(backend::Backend& backend, WorldOptions options)
   for (int i = 0; i < options_.ranks; ++i) {
     const fabric::NodeId node = transport_.add_node();
     verbs::Context& ctx = device_->open(node);
-    ranks_.push_back(std::make_unique<Rank>(*this, i, node, ctx,
-                                            options_.cores_per_rank));
+    ranks_.push_back(std::make_unique<Rank>(*this, i, node, ctx));
   }
 }
 

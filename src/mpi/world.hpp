@@ -25,31 +25,35 @@ namespace partib::mpi {
 
 class ConnectionManager;
 
+// Host-side calibration (DESIGN.md §2), fixed for every workload.
+
+/// Niagara nodes have 40 cores (2 x 20-core Skylake).
+inline constexpr int kCoresPerRank = 40;
+/// Depth of each request's (and each connection manager's) completion queue.
+inline constexpr int kCqDepth = 1 << 16;
+/// Host CPU cost of the Pready fast path before any posting (atomic
+/// add-and-fetch on the transport-partition flag array).
+inline constexpr Duration kPreadyCpu = nsec(40);
+/// Per-message runtime bookkeeping on the direct-verbs path (WR fill, flag
+/// updates) — runs on the calling thread, outside any lock.
+inline constexpr Duration kVerbsSwPerMsg = nsec(250);
+/// DPU hand-off latency per message under WorldOptions::dpu_aggregation.
+inline constexpr Duration kDpuPostOverhead = nsec(150);
+
 struct WorldOptions {
   int ranks = 2;
   fabric::NicParams nic = fabric::NicParams::connectx5_edr();
   /// When false the fabric skips payload memcpy (benchmark mode: only the
   /// virtual timeline matters).  Integrity tests run with true.
   bool copy_data = true;
-  /// Niagara nodes have 40 cores (2 x 20-core Skylake).
-  int cores_per_rank = 40;
-  /// Depth of each request's completion queues.
-  int cq_depth = 1 << 16;
-  /// Host CPU cost of the Pready fast path before any posting
-  /// (atomic add-and-fetch on the transport-partition flag array).
-  Duration pready_cpu = nsec(40);
-
-  /// Per-message runtime bookkeeping on the direct-verbs path (WR fill,
-  /// flag updates) — runs on the calling thread, outside any lock.
-  Duration verbs_sw_per_msg = nsec(250);
 
   /// Future-work §VI-A: offload aggregation onto a DPU.  When enabled,
   /// verbs-path posting work leaves the host entirely — the calling
   /// thread only flips the arrival flag; a per-rank DPU engine builds and
   /// rings the WR.  The host CPU is freed (visible under
-  /// oversubscription), at the price of the DPU hand-off latency.
+  /// oversubscription), at the price of the DPU hand-off latency
+  /// (kDpuPostOverhead).
   bool dpu_aggregation = false;
-  Duration dpu_post_overhead = nsec(150);
 
   /// Deterministic fault injection (fabric/fault.hpp, docs/FAULTS.md).
   /// All rates zero (the default) keeps the data path fault-free and
@@ -58,13 +62,14 @@ struct WorldOptions {
 };
 
 /// `faults` post-dates the pinned trial fingerprints, so it is hashed only
-/// when non-default (common/fields.hpp).
+/// when non-default, and the calibration constants keep their pinned
+/// positions as Frozen entries (common/fields.hpp).
 template <typename V, FieldsOf<WorldOptions> S>
 void visit_fields(V&& v, S& w) {
   static const WorldOptions kDefault;
-  v(w.ranks, w.nic, w.copy_data, w.cores_per_rank, w.cq_depth, w.pready_cpu,
-    w.verbs_sw_per_msg, w.dpu_aggregation, w.dpu_post_overhead,
-    Defaulted{"faults", w.faults, kDefault.faults});
+  v(w.ranks, w.nic, w.copy_data, Frozen{kCoresPerRank}, Frozen{kCqDepth},
+    Frozen{kPreadyCpu}, Frozen{kVerbsSwPerMsg}, w.dpu_aggregation,
+    Frozen{kDpuPostOverhead}, Defaulted{"faults", w.faults, kDefault.faults});
 }
 
 /// The backend configuration a world with `options` runs over: the NIC
@@ -76,8 +81,7 @@ class World;
 
 class Rank {
  public:
-  Rank(World& world, int id, fabric::NodeId node, verbs::Context& ctx,
-       int cores);
+  Rank(World& world, int id, fabric::NodeId node, verbs::Context& ctx);
   ~Rank();  // out of line: conn_ holds an incomplete ConnectionManager
   Rank(const Rank&) = delete;
   Rank& operator=(const Rank&) = delete;

@@ -29,54 +29,23 @@ namespace partib::part {
 template <typename Fn>
 void flush_pending_runs(const std::uint64_t* arrived, std::uint64_t* sent,
                         std::size_t base, std::size_t len, Fn&& fn) {
-  if (len == 0) return;
-  const std::size_t first_word = base / 64;
-  const std::size_t last_word = (base + len - 1) / 64;
-  std::size_t run_start = 0;
-  std::size_t run_len = 0;  // 0 == no run currently open
-  for (std::size_t w = first_word; w <= last_word; ++w) {
-    const unsigned lo = w == first_word ? static_cast<unsigned>(base % 64) : 0;
-    const unsigned hi = w == last_word
-                            ? static_cast<unsigned>((base + len - 1) % 64) + 1
-                            : 64;
-    std::uint64_t pending = arrived[w] & ~sent[w] & bitmap_range_mask(lo, hi);
-    sent[w] |= pending;
-    const std::size_t word_base = w * 64;
-    while (pending != 0) {
-      const unsigned s = ctz64(pending);
-      // Length of the all-ones run starting at bit s: the shifted word has
-      // its low `ones` bits set, so counting trailing zeros of the
-      // complement measures the run (ctz64(0) == 64 covers a full word).
-      const unsigned ones = ctz64(~(pending >> s));
-      const std::size_t start = word_base + s;
-      if (run_len != 0 && start == run_start + run_len) {
-        // Continues the run left open by the previous word.
-        run_len += ones;
-      } else {
-        if (run_len != 0) fn(run_start, run_len);
-        run_start = start;
-        run_len = ones;
-      }
-      pending = s + ones >= 64 ? 0 : pending & (~std::uint64_t{0} << (s + ones));
-    }
-  }
-  if (run_len != 0) fn(run_start, run_len);
+  for_each_bit_run(
+      base, len,
+      [arrived, sent](std::size_t w, std::uint64_t mask) {
+        const std::uint64_t pending = arrived[w] & ~sent[w] & mask;
+        sent[w] |= pending;
+        return pending;
+      },
+      fn);
 }
 
 /// Set bits [first, first + count) in `words` (the whole-group send path,
 /// where run detection is unnecessary).
 inline void bitmap_set_range(std::uint64_t* words, std::size_t first,
                              std::size_t count) {
-  if (count == 0) return;
-  const std::size_t first_word = first / 64;
-  const std::size_t last_word = (first + count - 1) / 64;
-  for (std::size_t w = first_word; w <= last_word; ++w) {
-    const unsigned lo = w == first_word ? static_cast<unsigned>(first % 64) : 0;
-    const unsigned hi =
-        w == last_word ? static_cast<unsigned>((first + count - 1) % 64) + 1
-                       : 64;
-    words[w] |= bitmap_range_mask(lo, hi);
-  }
+  for_each_range_word(first, count, [words](std::size_t w, std::uint64_t mask) {
+    words[w] |= mask;
+  });
 }
 
 }  // namespace partib::part

@@ -11,47 +11,33 @@
 
 namespace partib::part {
 
-/// UCX-like software-path cost model used by the persistent baseline
-/// (agg::Path::kUcxLike).  Thresholds follow the protocol switches the
-/// paper observes in Open MPI + UCX speedup curves (§V-B2: the
-/// eager/bcopy -> eager/zcopy switch at 1 KiB shows up as a dip at a
-/// 4 KiB aggregate with four partitions).
-struct UcxModel {
-  std::size_t bcopy_max = 1 * KiB;   ///< <= this: eager/bcopy (extra copy)
-  std::size_t rndv_min = 64 * KiB;   ///< >= this: rendezvous
-  Duration o_bcopy = nsec(120);      ///< per-message bcopy software cost
-  double copy_G = 0.10;              ///< ns per byte for the bcopy staging copy
-  Duration o_zcopy = nsec(1'400);    ///< per-message zcopy software cost
-                                     ///< (registration-cache pressure)
-  Duration o_rndv = nsec(900);       ///< per-message rendezvous software cost
-  /// Rendezvous adds a ready-to-send handshake before the payload moves;
-  /// modelled as this many extra wire latencies.
-  int rndv_extra_latencies = 2;
-  /// Wire-rate factor of the eager paths (bcopy/zcopy cannot keep the DMA
-  /// pipeline full); rendezvous streams at the full per-QP share.
-  double eager_wire_share = 0.72;
-  /// When more threads than cores contend for the UCX worker lock, the
-  /// holder can be descheduled mid-critical-section (lock convoy); the
-  /// serialized per-message cost scales by sqrt(threads / cores).  This is
-  /// the oversubscription penalty behind the paper's 128-partition
-  /// results (§V-B2).
-  bool model_lock_convoy = true;
-};
-
-template <typename V, FieldsOf<UcxModel> S>
-void visit_fields(V&& v, S& u) {
-  v(u.bcopy_max, u.rndv_min, u.o_bcopy, u.copy_G, u.o_zcopy, u.o_rndv,
-    u.rndv_extra_latencies, u.eager_wire_share, u.model_lock_convoy);
-}
+// UCX-like software-path cost model of the persistent baseline
+// (agg::Path::kUcxLike; PsendRequest::ucx_software_cost and
+// ucx_pre_post_delay).  Thresholds follow the protocol switches the paper
+// observes in Open MPI + UCX speedup curves (§V-B2: the eager/bcopy ->
+// eager/zcopy switch at 1 KiB shows up as a dip at a 4 KiB aggregate with
+// four partitions).
+inline constexpr std::size_t kUcxBcopyMax = 1 * KiB;  ///< <= this: eager/bcopy
+inline constexpr std::size_t kUcxRndvMin = 64 * KiB;  ///< >= this: rendezvous
+inline constexpr Duration kUcxBcopyCost = nsec(120);  ///< per-message bcopy
+inline constexpr double kUcxCopyG = 0.10;  ///< ns/byte, bcopy staging copy
+/// Per-message zcopy software cost (registration-cache pressure).
+inline constexpr Duration kUcxZcopyCost = nsec(1'400);
+inline constexpr Duration kUcxRndvCost = nsec(900);  ///< per-message rendezvous
+/// Rendezvous adds a ready-to-send handshake before the payload moves;
+/// modelled as this many extra wire latencies.
+inline constexpr int kUcxRndvExtraLatencies = 2;
+/// Wire-rate factor of the eager paths (bcopy/zcopy cannot keep the DMA
+/// pipeline full); rendezvous streams at the full per-QP share.
+inline constexpr double kUcxEagerWireShare = 0.72;
+static_assert(kUcxBcopyMax < kUcxRndvMin);
+static_assert(kUcxEagerWireShare > 0.0 && kUcxEagerWireShare <= 1.0);
+static_assert(kUcxZcopyCost > kUcxBcopyCost);
 
 /// Options accepted by psend_init / precv_init.  The aggregator is the
-/// strategy object (shared, immutable); overrides pin individual plan
-/// fields for knob-sweep experiments.
+/// strategy object (shared, immutable).
 struct Options {
   std::shared_ptr<const agg::Aggregator> aggregator;
-  std::size_t transport_partitions_override = 0;  ///< 0 = plan decides
-  int qp_count_override = 0;                      ///< 0 = plan decides
-  UcxModel ucx;
 
   /// Connection-scale mode (mpi/conn.hpp): draw QPs from the rank's
   /// on-demand connection manager, drain completions through the rank's
@@ -80,12 +66,17 @@ struct Options {
 
 /// In fingerprint order, not declaration order.  The aggregator hashes as
 /// its parameter-complete describe() (agg/aggregator.hpp); the retry budget
-/// post-dates the pinned fingerprints (common/fields.hpp).
+/// post-dates the pinned fingerprints, and the deleted transport-partition
+/// and QP-count overrides (0: the plan decides) and UCX model stay frozen
+/// at their old positions (common/fields.hpp).
 template <typename V, FieldsOf<Options> S>
 void visit_fields(V&& v, S& o) {
   static const Options kDefault;
-  v(o.aggregator, o.transport_partitions_override, o.qp_count_override,
-    o.shared_resources, o.ucx,
+  v(o.aggregator, Frozen{std::size_t{0}}, Frozen{0}, o.shared_resources,
+    Frozen{kUcxBcopyMax}, Frozen{kUcxRndvMin}, Frozen{kUcxBcopyCost},
+    Frozen{kUcxCopyG}, Frozen{kUcxZcopyCost}, Frozen{kUcxRndvCost},
+    Frozen{kUcxRndvExtraLatencies}, Frozen{kUcxEagerWireShare},
+    Frozen{true},
     Defaulted{"max_send_retries", o.max_send_retries,
               kDefault.max_send_retries},
     Defaulted{"retry_backoff", o.retry_backoff, kDefault.retry_backoff});

@@ -112,10 +112,12 @@ void PrecvRequest::on_match(const mpi::SendInit& si) {
     // Dedicated mode: a private CQ plus a per-channel SRQ feeding every
     // QP of the chain — receive staging is provisioned once per channel
     // instead of once per QP.
-    cq_ = &rank_.context().create_cq(world.options().cq_depth);
+    cq_ = &rank_.context().create_cq(mpi::kCqDepth);
     cq_->set_on_push([this] { schedule_progress(); });
+    // Sized for post_recv_wrs' top-up target, the sender's partition count.
     verbs::SrqAttrs srq_attrs;
-    srq_attrs.max_wr = static_cast<int>(std::max<std::size_t>(n_, 64));
+    srq_attrs.max_wr =
+        static_cast<int>(std::max<std::size_t>(si.user_partitions, 64));
     srq_ = &rank_.pd().create_srq(srq_attrs);
     for (int i = 0; i < si.qp_count; ++i) {
       verbs::Qp& qp = rank_.pd().create_qp(*cq_, *cq_, verbs::QpCaps{}, srq_);

@@ -57,12 +57,6 @@ PsendRequest::PsendRequest(mpi::Rank& rank, std::span<std::byte> buffer,
       comm_id_(comm_id),
       opts_(opts) {
   plan_ = opts_.aggregator->plan(n_, buf_.size());
-  if (opts_.transport_partitions_override != 0) {
-    plan_.transport_partitions = opts_.transport_partitions_override;
-    plan_.group_first.clear();
-    plan_.group_count.clear();
-  }
-  if (opts_.qp_count_override != 0) plan_.qp_count = opts_.qp_count_override;
   PARTIB_ASSERT(plan_.qp_count >= 1);
 
   // Group-layout storage is reserved once for the largest layout any
@@ -136,7 +130,7 @@ void PsendRequest::setup_verbs_and_handshake() {
     // Dedicated mode: a private CQ and eagerly created QPs whose numbers
     // ride the handshake.  Shared mode sends no qp_nums — the chain comes
     // from the connection manager, lazily, on the first post.
-    cq_ = &rank_.context().create_cq(world.options().cq_depth);
+    cq_ = &rank_.context().create_cq(mpi::kCqDepth);
     cq_->set_on_push([this] { schedule_progress(); });
     verbs::QpCaps caps;
     caps.max_send_wr = world.options().nic.max_outstanding_wr_per_qp;
@@ -416,34 +410,33 @@ void PsendRequest::flush_group_runs(std::size_t g) {
 }
 
 Duration PsendRequest::ucx_software_cost(std::size_t bytes) const {
-  const UcxModel& u = opts_.ucx;
   Duration cost;
-  if (bytes <= u.bcopy_max) {
-    cost = u.o_bcopy +
-           static_cast<Duration>(u.copy_G * static_cast<double>(bytes));
-  } else if (bytes < u.rndv_min) {
-    cost = u.o_zcopy;
+  if (bytes <= kUcxBcopyMax) {
+    cost = kUcxBcopyCost +
+           static_cast<Duration>(kUcxCopyG * static_cast<double>(bytes));
+  } else if (bytes < kUcxRndvMin) {
+    cost = kUcxZcopyCost;
   } else {
-    cost = u.o_rndv;
+    cost = kUcxRndvCost;
   }
-  if (u.model_lock_convoy) {
-    // One thread per user partition (the benchmarks' convention): past the
-    // core count, lock-convoy effects inflate the serialized section.
-    const double threads = static_cast<double>(n_);
-    const double cores =
-        static_cast<double>(rank_.world().options().cores_per_rank);
-    if (threads > cores) {
-      cost = static_cast<Duration>(static_cast<double>(cost) *
-                                   std::sqrt(threads / cores));
-    }
+  // When more threads than cores contend for the UCX worker lock, the
+  // holder can be descheduled mid-critical-section (lock convoy): the
+  // serialized cost scales by sqrt(threads / cores), with one thread per
+  // user partition (the benchmarks' convention).  This is the
+  // oversubscription penalty behind the paper's 128-partition results
+  // (§V-B2).
+  const double threads = static_cast<double>(n_);
+  const double cores = static_cast<double>(mpi::kCoresPerRank);
+  if (threads > cores) {
+    cost = static_cast<Duration>(static_cast<double>(cost) *
+                                 std::sqrt(threads / cores));
   }
   return cost;
 }
 
 Duration PsendRequest::ucx_pre_post_delay(std::size_t bytes) const {
-  const UcxModel& u = opts_.ucx;
-  if (bytes < u.rndv_min) return 0;
-  return static_cast<Duration>(u.rndv_extra_latencies) *
+  if (bytes < kUcxRndvMin) return 0;
+  return static_cast<Duration>(kUcxRndvExtraLatencies) *
          rank_.world().options().nic.wire.L;
 }
 
@@ -509,8 +502,8 @@ void PsendRequest::post_message(std::size_t first, std::size_t count) {
   PARTIB_CHECK_HOOK(on_imm_encoded(this, first, count, wr.imm));
   wr.remote_addr = remote_base_ + first * psize_;
   wr.rkey = remote_rkey_;
-  if (plan_.path == agg::Path::kUcxLike && bytes < opts_.ucx.rndv_min) {
-    wr.rate_cap_factor = opts_.ucx.eager_wire_share;
+  if (plan_.path == agg::Path::kUcxLike && bytes < kUcxRndvMin) {
+    wr.rate_cap_factor = kUcxEagerWireShare;
   }
 
   // Host-side posting splits into a parallel part done by the calling
@@ -524,7 +517,7 @@ void PsendRequest::post_message(std::size_t first, std::size_t count) {
   const mpi::WorldOptions& wo = rank_.world().options();
   const bool use_dpu =
       wo.dpu_aggregation && plan_.path == agg::Path::kVerbs;
-  Duration host_work = wo.pready_cpu;
+  Duration host_work = mpi::kPreadyCpu;
   staged.serialized = wo.nic.o_post;
   staged.pre_delay = 0;
   staged.engine_res = &rank_.doorbell();
@@ -532,10 +525,10 @@ void PsendRequest::post_message(std::size_t first, std::size_t count) {
     staged.serialized += ucx_software_cost(bytes);
     staged.pre_delay = ucx_pre_post_delay(bytes);
   } else if (use_dpu) {
-    staged.serialized += wo.verbs_sw_per_msg + wo.dpu_post_overhead;
+    staged.serialized += mpi::kVerbsSwPerMsg + mpi::kDpuPostOverhead;
     staged.engine_res = rank_.dpu();
   } else {
-    host_work += wo.verbs_sw_per_msg;
+    host_work += mpi::kVerbsSwPerMsg;
   }
   rank_.cpu().submit(host_work, [this, id] { on_host_work_done(id); });
 }

@@ -71,8 +71,8 @@ class Hasher {
 namespace detail {
 
 /// Hash walk over a field list: unsigned integers feed u64, signed
-/// integers and enums i64, doubles f64, bools boolean; nested structs
-/// recurse, and a strategy pointer (anything with `->describe()`) feeds
+/// integers and enums i64, doubles f64, bools boolean; a Frozen value
+/// hashes as its leaf; nested structs recurse, and a strategy pointer (anything with `->describe()`) feeds
 /// its describe() string, "none" when null.
 struct HashWalk {
   Hasher& h;
@@ -103,6 +103,11 @@ struct HashWalk {
   void leaf(const Defaulted<T>& f) {
     if (f.value == f.fallback) return;
     h.str(f.name);
+    leaf(f.value);
+  }
+
+  template <typename T>
+  void leaf(const Frozen<T>& f) {
     leaf(f.value);
   }
 };

@@ -149,15 +149,6 @@ struct SrqAttrs {
   int srq_limit = 0;
 };
 
-/// One posted receive WR staged for delivery.  Shared between the per-QP
-/// receive ring and the SRQ slab (verbs.hpp).
-struct PostedRecv {
-  RecvWr wr;
-  /// Sum of the SGE lengths.  Nothing reads it, but its bytes count in
-  /// every receive queue's ResourceFootprint, which the incast pins hash.
-  std::size_t total_length = 0;
-};
-
 constexpr const char* to_string(WcStatus s) {
   switch (s) {
     case WcStatus::kSuccess: return "SUCCESS";

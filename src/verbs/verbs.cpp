@@ -144,16 +144,9 @@ Status Srq::post_recv(const RecvWr& wr) {
   if (queue_.size() >= static_cast<std::size_t>(attrs_.max_wr)) {
     return Status::kResourceExhausted;
   }
-  std::size_t total = 0;
-  for (const Sge& sge : wr.sg_list) {
-    const Mr* mr = pd_.find_local_mr(sge.lkey, sge.addr, sge.length);
-    if (mr == nullptr ||
-        (mr->access() & Access::kLocalWrite) != Access::kLocalWrite) {
-      return Status::kInvalidArgument;
-    }
-    total += sge.length;
-  }
-  queue_.push_back(PostedRecv{wr, total});
+  const Status st = pd_.validate_sges(wr.sg_list, Access::kLocalWrite);
+  if (!ok(st)) return st;
+  queue_.push_back(wr);
   PARTIB_CHECK_HOOK(on_srq_accepted(this));
   return Status::kOk;
 }
@@ -175,7 +168,7 @@ Status Srq::resize(int max_wr) {
   return Status::kOk;
 }
 
-bool Srq::consume(PostedRecv* out) {
+bool Srq::consume(RecvWr* out) {
   if (queue_.empty()) return false;
   *out = queue_.front();
   queue_.pop_front();
@@ -196,6 +189,22 @@ const Mr* Pd::find_local_mr(Lkey lkey, std::uint64_t addr,
     if (mr->lkey() == lkey && mr->contains(addr, len)) return mr.get();
   }
   return nullptr;
+}
+
+Status Pd::validate_sges(const SgList& sges, unsigned required_access,
+                         std::size_t* total) const {
+  std::size_t sum = 0;
+  for (const Sge& sge : sges) {
+    const Mr* mr = find_local_mr(sge.lkey, sge.addr, sge.length);
+    if (mr == nullptr) return Status::kInvalidArgument;
+    if (required_access != 0 &&
+        (mr->access() & required_access) != required_access) {
+      return Status::kInvalidArgument;
+    }
+    sum += sge.length;
+  }
+  if (total != nullptr) *total = sum;
+  return Status::kOk;
 }
 
 // ---------------------------------------------------------------------------
@@ -277,22 +286,6 @@ Status Qp::to_reset() {
   return Status::kOk;
 }
 
-Status Qp::validate_sges(const SgList& sges, unsigned required_access,
-                         std::size_t* total) const {
-  std::size_t sum = 0;
-  for (const Sge& sge : sges) {
-    const Mr* mr = pd_.find_local_mr(sge.lkey, sge.addr, sge.length);
-    if (mr == nullptr) return Status::kInvalidArgument;
-    if (required_access != 0 &&
-        (mr->access() & required_access) != required_access) {
-      return Status::kInvalidArgument;
-    }
-    sum += sge.length;
-  }
-  *total = sum;
-  return Status::kOk;
-}
-
 Status Qp::post_recv(const RecvWr& wr) {
   // SRQ-attached QPs have no receive queue of their own; ibv_post_recv
   // fails with EINVAL there and so do we (post to the SRQ instead).
@@ -304,10 +297,9 @@ Status Qp::post_recv(const RecvWr& wr) {
   if (recv_queue_.size() >= static_cast<std::size_t>(caps_.max_recv_wr)) {
     return Status::kResourceExhausted;
   }
-  std::size_t total = 0;
-  const Status st = validate_sges(wr.sg_list, Access::kLocalWrite, &total);
+  const Status st = pd_.validate_sges(wr.sg_list, Access::kLocalWrite);
   if (!ok(st)) return st;
-  recv_queue_.push_back(PostedRecv{wr, total});
+  recv_queue_.push_back(wr);
   PARTIB_CHECK_HOOK(on_recv_accepted(this));
   return Status::kOk;
 }
@@ -335,7 +327,8 @@ PARTIB_HOT Status Qp::post_send(const SendWr& wr) {
   if (state_ != QpState::kRts) return Status::kInvalidState;
   if (outstanding_ >= caps_.max_send_wr) return Status::kResourceExhausted;
   std::size_t total = 0;
-  const Status st = validate_sges(wr.sg_list, /*required_access=*/0, &total);
+  const Status st =
+      pd_.validate_sges(wr.sg_list, /*required_access=*/0, &total);
   if (!ok(st)) return st;
   PARTIB_ASSERT(remote_ != nullptr);
 
@@ -433,7 +426,7 @@ void Qp::wqe_failed(std::uint32_t slot, Time when, fabric::OpFailure failure) {
   complete_send(wr, res, when);
 }
 
-bool Qp::take_recv(PostedRecv* out) {
+bool Qp::take_recv(RecvWr* out) {
   if (srq_ != nullptr) return srq_->consume(out);
   if (recv_queue_.empty()) return false;
   *out = recv_queue_.front();
@@ -456,13 +449,13 @@ Qp::DeliveryResult Qp::deliver_rdma_write(const SendWr& wr, bool with_imm,
     return res;
   }
   if (with_imm) {
-    PostedRecv posted;
+    RecvWr posted;
     if (!take_recv(&posted)) {
       res.status = WcStatus::kRemoteNotReady;
       return res;
     }
     res.recv_wr_consumed = true;
-    res.recv_wr_id = posted.wr.wr_id;
+    res.recv_wr_id = posted.wr_id;
   }
   if (copy_data) {
     std::byte* dst = wire_ptr(wr.remote_addr);

@@ -61,6 +61,15 @@ struct ResourceFootprint {
   std::size_t resident_bytes = 0;
 };
 
+/// Bytes both counts price per queue entry: a CQE, a send WQE and a
+/// receive WQE.  These are the modelled descriptor sizes the incast and
+/// all-to-all pins were recorded with (the simulator's own Wc, send-slab
+/// record and posted receive measured 40, 152 and 88 bytes then), so the
+/// footprint does not move when those structs change.
+inline constexpr std::size_t kCqeBytes = 40;
+inline constexpr std::size_t kSendWqeBytes = 152;
+inline constexpr std::size_t kRecvWqeBytes = 88;
+
 /// The "HCA": entry point tying contexts to the transport backend and
 /// providing device-wide qp_num / key allocation.  The device consumes
 /// only the backend::Transport interface, so the same verbs object model
@@ -224,10 +233,10 @@ class Cq {
 
   /// Hardware commits the full `depth` at creation (see ResourceFootprint).
   std::size_t provisioned_bytes() const {
-    return static_cast<std::size_t>(depth_) * sizeof(Wc);
+    return static_cast<std::size_t>(depth_) * kCqeBytes;
   }
   std::size_t resident_bytes() const {
-    return entries_.capacity() * sizeof(Wc);
+    return entries_.capacity() * kCqeBytes;
   }
 
  private:
@@ -266,6 +275,12 @@ class Pd {
   /// Find a local MR covering [addr, addr+len) whose lkey matches.
   const Mr* find_local_mr(Lkey lkey, std::uint64_t addr,
                           std::size_t len) const;
+
+  /// Every SGE lies in a local MR granting `required_access` (the post-time
+  /// check of send and receive WRs); the summed length goes to `total`
+  /// when given.
+  Status validate_sges(const SgList& sges, unsigned required_access,
+                       std::size_t* total = nullptr) const;
 
  private:
   friend class Context;
@@ -310,21 +325,21 @@ class Srq {
   Pd& pd() { return pd_; }
 
   std::size_t provisioned_bytes() const {
-    return static_cast<std::size_t>(attrs_.max_wr) * sizeof(PostedRecv);
+    return static_cast<std::size_t>(attrs_.max_wr) * kRecvWqeBytes;
   }
   std::size_t resident_bytes() const {
-    return queue_.capacity() * sizeof(PostedRecv);
+    return queue_.capacity() * kRecvWqeBytes;
   }
 
   /// Internal: delivery-path dequeue, called by an attached Qp.  False on
   /// an empty queue (the RNR condition).
-  bool consume(PostedRecv* out);
+  bool consume(RecvWr* out);
 
  private:
   Pd& pd_;
   SrqAttrs attrs_;
   bool limit_armed_ = false;
-  common::Ring<PostedRecv> queue_;
+  common::Ring<RecvWr> queue_;
   std::function<void()> on_limit_;
 };
 
@@ -388,15 +403,15 @@ class Qp {
   /// max_recv_wr receive queue at creation; SRQ-attached QPs share the
   /// SRQ's provisioning instead (see ResourceFootprint).
   std::size_t provisioned_bytes() const {
-    std::size_t b = static_cast<std::size_t>(caps_.max_send_wr) * sizeof(Wqe);
+    std::size_t b = static_cast<std::size_t>(caps_.max_send_wr) * kSendWqeBytes;
     if (srq_ == nullptr) {
-      b += static_cast<std::size_t>(caps_.max_recv_wr) * sizeof(PostedRecv);
+      b += static_cast<std::size_t>(caps_.max_recv_wr) * kRecvWqeBytes;
     }
     return b;
   }
   std::size_t resident_bytes() const {
-    return wqes_.capacity() * sizeof(Wqe) +
-           recv_queue_.capacity() * sizeof(PostedRecv);
+    return wqes_.capacity() * kSendWqeBytes +
+           recv_queue_.capacity() * kRecvWqeBytes;
   }
 
  private:
@@ -431,16 +446,13 @@ class Qp {
   std::uint32_t remote_qp_num_ = 0;
   Qp* remote_ = nullptr;  // resolved at to_rtr time
   int outstanding_ = 0;
-  common::Ring<PostedRecv> recv_queue_;
+  common::Ring<RecvWr> recv_queue_;
   std::vector<Wqe> wqes_;  // fixed at max_send_wr slots
   std::uint32_t free_wqe_ = kNilWqe;
 
   /// Dequeue the next receive WR — from the SRQ when attached, else from
   /// the private ring.  False = nothing posted (RNR).
-  bool take_recv(PostedRecv* out);
-
-  Status validate_sges(const SgList& sges, unsigned required_access,
-                       std::size_t* total) const;
+  bool take_recv(RecvWr* out);
 
   std::uint32_t acquire_wqe();
   void release_wqe_ref(std::uint32_t slot);

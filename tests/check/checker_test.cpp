@@ -116,7 +116,7 @@ struct VerbsFx {
   verbs::Mr* smr;
   verbs::Mr* rmr;
 
-  explicit VerbsFx(int cq_depth = 64)
+  explicit VerbsFx(int depth = 64)
       : fab(engine, fabric::NicParams::connectx5_edr(), /*copy=*/true),
         dev(fab),
         sbuf(4 * KiB),
@@ -126,8 +126,8 @@ struct VerbsFx {
     rctx = &dev.open(fab.add_node());
     spd = &sctx->alloc_pd();
     rpd = &rctx->alloc_pd();
-    scq = &sctx->create_cq(cq_depth);
-    rcq = &rctx->create_cq(cq_depth);
+    scq = &sctx->create_cq(depth);
+    rcq = &rctx->create_cq(depth);
     smr = &spd->register_mr(sbuf, verbs::kLocalRead);
     rmr = &rpd->register_mr(rbuf, verbs::kLocalWrite | verbs::kRemoteWrite);
   }
@@ -408,7 +408,7 @@ TEST(CheckerDeathTest, AssertFailureCarriesRuleId) {
 // the library's fatal assert kills the process.
 TEST(CheckerDeathTest, RealCqOverflowNamesRule) {
   if (!check::hooks_compiled_in()) GTEST_SKIP() << "PARTIB_CHECK=OFF build";
-  VerbsFx fx(/*cq_depth=*/1);
+  VerbsFx fx(/*depth=*/1);
   auto [s, r] = fx.connected_pair();
   EXPECT_DEATH(
       {

@@ -48,9 +48,9 @@ TEST(Stress, TimerWorstCaseEveryPartitionAlone) {
   // 256 partitions arriving strictly serially, delta too small to group:
   // every partition ships alone; integrity must hold.
   constexpr std::size_t kParts = 256;
-  part::Options opts = timer_options(nsec(1));
-  opts.transport_partitions_override = 4;  // 4 groups of 64
-  ChannelFixture fx(kParts * 128, kParts, opts);
+  // 4 groups of 64.
+  ChannelFixture fx(kParts * 128, kParts,
+                    pinned_options(timer_options(nsec(1)), 4));
   fx.engine.run();
   fill_pattern(fx.sbuf, 1);
   ASSERT_TRUE(ok(fx.send->start()));

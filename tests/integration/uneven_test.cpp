@@ -105,6 +105,19 @@ TEST(Uneven, MultipleRoundsResetByteAccounting) {
   }
 }
 
+TEST(Uneven, ManySenderPartitionsIntoFewReceivePartitions) {
+  // 128 send partitions -> 4 receive partitions: the receiver's SRQ must
+  // hold one receive WR per *sender* partition, the worst case it tops up
+  // to each round, not 64 sized from its own 4.
+  UnevenFixture fx(128 * KiB, 128, 4);
+  for (int round = 1; round <= 2; ++round) {
+    fx.run_round(round);
+    ASSERT_TRUE(fx.send->test()) << round;
+    ASSERT_TRUE(fx.recv->test()) << round;
+    ASSERT_TRUE(buffers_equal(fx.sbuf, fx.rbuf)) << round;
+  }
+}
+
 TEST(PbufPrepare, FiresAfterHandshake) {
   backend::DesBackend des(mpi::backend_config({}));
   sim::Engine& engine = des.engine();

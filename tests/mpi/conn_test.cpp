@@ -29,7 +29,6 @@ struct Fx {
   explicit Fx(int ranks = 3) {
     check::reset();
     opts.ranks = ranks;
-    opts.cq_depth = 1024;
     world = std::make_unique<World>(des, opts);
   }
 
@@ -152,7 +151,7 @@ TEST(ConnManagerSrq, ReservationGrowsAndRefillsTheSrq) {
   // Drain below the watermark twice: the limit event schedules a refill
   // back to the reservation, and the refill re-arms the one-shot event.
   for (int pass = 0; pass < 2; ++pass) {
-    verbs::PostedRecv wr;
+    verbs::RecvWr wr;
     while (mgr.srq().posted() >= 64) ASSERT_TRUE(mgr.srq().consume(&wr));
     EXPECT_EQ(mgr.srq().posted(), 63u);
     fx.engine.run();

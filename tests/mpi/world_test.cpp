@@ -27,11 +27,9 @@ TEST(World, RanksGetDistinctNodesAndIds) {
 }
 
 TEST(World, CpuUsesConfiguredCoreCount) {
-  WorldOptions o;
-  o.cores_per_rank = 12;
-  backend::DesBackend des(backend_config(o));
-  World world(des, o);
-  EXPECT_EQ(world.rank(0).cpu().cores(), 12);
+  backend::DesBackend des(backend_config({}));
+  World world(des, {});
+  EXPECT_EQ(world.rank(0).cpu().cores(), kCoresPerRank);
 }
 
 TEST(World, ControlMessagesArriveWithControlLatency) {

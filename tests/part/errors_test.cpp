@@ -198,23 +198,18 @@ TEST_P(InitErrors, PartitionCountBeyondImmediateFieldRejected) {
 }
 
 TEST_P(Overrides, TransportPartitionOverrideWins) {
-  part::Options opts = ploggp_options();
-  opts.transport_partitions_override = 16;
-  ChannelFixture fx(64 * KiB, 16, opts);
+  ChannelFixture fx(64 * KiB, 16, pinned_options(ploggp_options(), 16));
   EXPECT_EQ(fx.send->transport_partitions(), 16u);
 }
 
 TEST_P(Overrides, QpCountOverrideWins) {
-  part::Options opts = ploggp_options();
-  opts.qp_count_override = 4;
-  ChannelFixture fx(64 * KiB, 16, opts);
+  ChannelFixture fx(64 * KiB, 16,
+                    pinned_options(ploggp_options(), /*tp=*/0, /*qps=*/4));
   EXPECT_EQ(fx.send->qp_count(), 4);
 }
 
 TEST_P(Overrides, OverrideAboveUserCountClamps) {
-  part::Options opts = ploggp_options();
-  opts.transport_partitions_override = 64;
-  ChannelFixture fx(16 * KiB, 4, opts);
+  ChannelFixture fx(16 * KiB, 4, pinned_options(ploggp_options(), 64));
   EXPECT_EQ(fx.send->transport_partitions(), 4u);
 }
 

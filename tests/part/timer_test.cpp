@@ -17,23 +17,12 @@ namespace {
 struct TimerFixture : ChannelFixture {
   explicit TimerFixture(Duration delta, std::size_t partitions = 4)
       : ChannelFixture(partitions * KiB, partitions,
-                       make_options(delta, partitions)) {
+                       pinned_options(timer_options(delta), 1)) {
     engine.run();  // settle handshake
     fill_pattern(sbuf, 1);
     PARTIB_ASSERT(partib::ok(send->start()));
     PARTIB_ASSERT(partib::ok(recv->start()));
     engine.run();  // deliver the round credit
-  }
-
-  static part::Options make_options(Duration delta, std::size_t partitions) {
-    part::Options o;
-    // Timer plan with a single transport group covering all partitions.
-    auto agg = std::make_shared<agg::TimerPLogGPAggregator>(
-        model::LogGPParams::niagara_mpi_measured(), delta);
-    o.aggregator = std::move(agg);
-    o.transport_partitions_override = 1;
-    (void)partitions;
-    return o;
   }
 
   void pready_at(Duration when, std::size_t i) {
@@ -194,10 +183,7 @@ TEST(TimerAgg, MultipleGroupsArmIndependentTimers) {
   sim::Engine& engine = des.engine();
   mpi::World world(des, {});
   std::vector<std::byte> sbuf(8 * KiB), rbuf(8 * KiB);
-  part::Options opts;
-  opts.aggregator = std::make_shared<agg::TimerPLogGPAggregator>(
-      model::LogGPParams::niagara_mpi_measured(), usec(50));
-  opts.transport_partitions_override = 2;
+  const part::Options opts = pinned_options(timer_options(usec(50)), 2);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
   ASSERT_TRUE(ok(part::psend_init(world.rank(0), sbuf, 8, 1, 0, 0, opts,

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "agg/strategies.hpp"
@@ -108,6 +109,44 @@ inline part::Options tuning_table_options() {
 inline part::Options timer_options(Duration delta) {
   return options_with(std::make_shared<agg::TimerPLogGPAggregator>(
       model::LogGPParams::niagara_mpi_measured(), delta));
+}
+
+/// Wraps a uniform-layout aggregator and pins its plan's
+/// transport-partition count and/or QP count (0 keeps the inner plan's
+/// value); psend clamps a pinned count above the user partitions as it
+/// clamps any plan's.
+class PinnedPlanAggregator final : public agg::Aggregator {
+ public:
+  PinnedPlanAggregator(std::shared_ptr<const agg::Aggregator> inner,
+                       std::size_t tp, int qps)
+      : inner_(std::move(inner)), tp_(tp), qps_(qps) {}
+
+  agg::Plan plan(std::size_t user_partitions,
+                 std::size_t total_bytes) const override {
+    agg::Plan p = inner_->plan(user_partitions, total_bytes);
+    if (tp_ != 0) p.transport_partitions = tp_;
+    if (qps_ != 0) p.qp_count = qps_;
+    return p;
+  }
+  const char* name() const override { return inner_->name(); }
+  std::string describe() const override {
+    return inner_->describe() + "/tp=" + std::to_string(tp_) +
+           "/qps=" + std::to_string(qps_);
+  }
+
+ private:
+  std::shared_ptr<const agg::Aggregator> inner_;
+  std::size_t tp_;
+  int qps_;
+};
+
+/// `opts` with its aggregator's plan pinned to `tp` transport partitions
+/// and `qps` QPs (0 = the plan decides).
+inline part::Options pinned_options(part::Options opts, std::size_t tp,
+                                    int qps = 0) {
+  opts.aggregator =
+      std::make_shared<PinnedPlanAggregator>(opts.aggregator, tp, qps);
+  return opts;
 }
 
 inline part::Options learning_options(Duration delta0 = msec(4),

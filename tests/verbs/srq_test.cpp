@@ -41,11 +41,11 @@ TEST_P(SrqBasics, PostConsumeAndCapacity) {
   EXPECT_EQ(srq.post_recv(RecvWr{}), Status::kResourceExhausted);
 
   // Consumption is strict post order.
-  PostedRecv out;
+  RecvWr out;
   ASSERT_TRUE(srq.consume(&out));
-  EXPECT_EQ(out.wr.wr_id, 0u);
+  EXPECT_EQ(out.wr_id, 0u);
   ASSERT_TRUE(srq.consume(&out));
-  EXPECT_EQ(out.wr.wr_id, 1u);
+  EXPECT_EQ(out.wr_id, 1u);
   EXPECT_EQ(srq.posted(), 2u);
 }
 
@@ -70,7 +70,7 @@ TEST_P(SrqLimit, ArmValidationAndOneShotEvent) {
   srq.set_on_limit([&] { ++events; });
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(ok(srq.post_recv(RecvWr{})));
 
-  PostedRecv out;
+  RecvWr out;
   ASSERT_TRUE(srq.consume(&out));  // 3 left: above the watermark
   EXPECT_EQ(events, 0);
   ASSERT_TRUE(srq.consume(&out));  // 2 left: not yet *below* the limit
